@@ -287,6 +287,31 @@ void BM_FlatPathStoreLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_FlatPathStoreLookup);
 
+/// Path warm-up, the layer in front of every cached-path run: a fresh store
+/// warmed over the pairs of a 5k-payment trace on the 250-node ripple-like
+/// graph. Arg = worker threads; 0 = thread_budget() (SPIDER_THREADS, else
+/// the hardware concurrency). The stored paths are the same at any count.
+void BM_WarmPaths(benchmark::State& state) {
+  ScenarioParams params;
+  params.payments = 5000;
+  params.nodes = 250;
+  const ScenarioInstance scenario = build_scenario("ripple-like", params);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (const PaymentSpec& spec : scenario.trace)
+    pairs.emplace_back(spec.src, spec.dst);
+  const unsigned threads =
+      thread_budget(static_cast<unsigned>(state.range(0)));
+  for (auto _ : state) {
+    PathCache store(scenario.graph, 4, PathSelection::kEdgeDisjoint);
+    store.warm(pairs, threads);
+    benchmark::DoNotOptimize(store.path_count());
+  }
+  state.counters["threads"] = threads;
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(pairs.size()));
+}
+BENCHMARK(BM_WarmPaths)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+
 void BM_MapPathCacheLookup(benchmark::State& state) {
   const ScenarioInstance scenario = simulator_fixture();
   // The pre-overhaul layout: map of heap-allocated path vectors.

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <mutex>
 #include <string>
+#include <thread>
 
 #include "core/runner.hpp"
 #include "util/csv.hpp"
@@ -154,6 +155,14 @@ int env_int(const char* name, int fallback) {
   } catch (const std::exception&) {
     return fallback;
   }
+}
+
+unsigned thread_budget(unsigned requested) {
+  if (requested > 0) return requested;
+  const int from_env = env_int("SPIDER_THREADS", 0);
+  if (from_env > 0) return static_cast<unsigned>(from_env);
+  const unsigned hardware = std::thread::hardware_concurrency();
+  return hardware > 0 ? hardware : 1;
 }
 
 double env_double(const char* name, double fallback) {

@@ -91,6 +91,12 @@ void maybe_write_windows_csv(const std::string& bench_name,
 [[nodiscard]] std::string env_string(const char* name,
                                      const std::string& fallback);
 
+/// The process-wide worker budget: `requested` when nonzero, else
+/// SPIDER_THREADS when set, else the hardware concurrency, else 1. The
+/// ExperimentRunner pool, the shard workers and path warm-up all size
+/// themselves from it.
+[[nodiscard]] unsigned thread_budget(unsigned requested = 0);
+
 /// If SPIDER_BENCH_CSV_DIR is set, writes `table` to
 /// <dir>/<bench_name>.csv; otherwise does nothing.
 void maybe_write_csv(const std::string& bench_name, const Table& table);

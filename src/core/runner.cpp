@@ -7,18 +7,6 @@
 
 namespace spider {
 
-namespace {
-
-unsigned resolve_threads(unsigned requested) {
-  if (requested > 0) return requested;
-  const int from_env = env_int("SPIDER_THREADS", 0);
-  if (from_env > 0) return static_cast<unsigned>(from_env);
-  const unsigned hardware = std::thread::hardware_concurrency();
-  return hardware > 0 ? hardware : 1;
-}
-
-}  // namespace
-
 unsigned resolve_parallel_cap(unsigned budget, int shards) {
   if (budget == 0) budget = 1;
   if (shards <= 1) return budget;
@@ -26,7 +14,7 @@ unsigned resolve_parallel_cap(unsigned budget, int shards) {
 }
 
 ExperimentRunner::ExperimentRunner(unsigned threads) {
-  const unsigned count = resolve_threads(threads);
+  const unsigned count = thread_budget(threads);
   workers_.reserve(count);
   for (unsigned i = 0; i < count; ++i)
     workers_.emplace_back([this] { worker_loop(); });

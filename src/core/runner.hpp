@@ -10,9 +10,9 @@
 // the output is byte-identical to a serial sweep no matter how the pool
 // interleaves.
 //
-// Thread count resolution: an explicit constructor argument wins; otherwise
-// the SPIDER_THREADS environment variable; otherwise the hardware
-// concurrency. for_each() must not be re-entered from a worker (no nested
+// Thread count resolution (thread_budget, core/experiment.hpp): an explicit
+// constructor argument wins; otherwise the SPIDER_THREADS environment
+// variable; otherwise the hardware concurrency. for_each() must not be re-entered from a worker (no nested
 // parallelism).
 #pragma once
 

@@ -8,13 +8,6 @@
 
 namespace spider {
 
-unsigned shard_thread_budget() {
-  const int env = env_int("SPIDER_THREADS", 0);
-  if (env > 0) return static_cast<unsigned>(env);
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
 ShardExecutor::ShardExecutor(const Graph& topology, const SpiderConfig& config,
                              Scheme scheme, const PathCache* shared_paths,
                              const std::vector<PaymentSpec>* demand_hint,
@@ -36,7 +29,7 @@ ShardExecutor::ShardExecutor(const Graph& topology, const SpiderConfig& config,
       probe->plan_speculation() == PlanSpeculation::kCandidatePaths;
   if (!speculative_) return;
 
-  const unsigned budget = threads != 0 ? threads : shard_thread_budget();
+  const unsigned budget = thread_budget(threads);
   const unsigned count = std::min<unsigned>(
       static_cast<unsigned>(partition_.parts), std::max(1u, budget));
   workers_.reserve(count);

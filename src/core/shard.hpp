@@ -105,7 +105,7 @@ class ShardExecutor final : public SpeculativePlanner,
   /// `config` what the live run executes; `shared_paths` may be null,
   /// `demand_hint` likewise (copied into a demand matrix for worker-router
   /// init). `threads` == 0 resolves the worker count to
-  /// min(shards, shard_thread_budget()).
+  /// min(shards, thread_budget()).
   ShardExecutor(const Graph& topology, const SpiderConfig& config,
                 Scheme scheme, const PathCache* shared_paths,
                 const std::vector<PaymentSpec>* demand_hint, int shards,
@@ -223,9 +223,5 @@ class ShardExecutor final : public SpeculativePlanner,
 
   ShardStats stats_;
 };
-
-/// The process-wide core budget sharded runs and the ExperimentRunner
-/// share: SPIDER_THREADS when set, else the hardware concurrency.
-[[nodiscard]] unsigned shard_thread_budget();
 
 }  // namespace spider

@@ -1,6 +1,9 @@
 #include "core/spider.hpp"
 
+#include <algorithm>
 #include <mutex>
+
+#include "core/experiment.hpp"
 
 namespace spider {
 
@@ -32,13 +35,17 @@ void SpiderNetwork::warm_paths(const std::vector<PaymentSpec>& trace) const {
   if (!paths_->store)
     paths_->store = std::make_unique<PathCache>(
         topology_, config_.num_paths, config_.path_selection);
-  // Collect only the pairs still missing, so re-warming an already-warmed
-  // trace (every run after the first) is a pure read with no allocation.
-  std::vector<std::pair<NodeId, NodeId>> missing;
-  for (const PaymentSpec& spec : trace)
-    if (!paths_->store->contains(spec.src, spec.dst))
-      missing.emplace_back(spec.src, spec.dst);
-  if (!missing.empty()) paths_->store->warm(missing);
+  // Re-warming an already-warmed trace (every run after the first, and
+  // replay_trace's own pass) is a pure read: no allocation, no threads.
+  const PathCache& store = *paths_->store;
+  if (std::all_of(trace.begin(), trace.end(), [&](const PaymentSpec& spec) {
+        return store.contains(spec.src, spec.dst);
+      }))
+    return;
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  pairs.reserve(trace.size());
+  for (const PaymentSpec& spec : trace) pairs.emplace_back(spec.src, spec.dst);
+  paths_->store->warm(pairs, thread_budget());
 }
 
 const PathCache* SpiderNetwork::path_store() const {

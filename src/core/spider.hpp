@@ -92,7 +92,9 @@ class SpiderNetwork {
   /// config.path_selection) for every (src, dst) pair in `trace`.
   /// Idempotent and cheap once warmed; run() calls it automatically, so a
   /// grid of runs over one trace computes each pair's paths exactly once
-  /// instead of once per run. Thread-safe under the ExperimentRunner
+  /// instead of once per run. The missing pairs are computed on the
+  /// thread_budget() workers (SPIDER_THREADS); the stored paths are the
+  /// same for any thread count. Thread-safe under the ExperimentRunner
   /// pattern (concurrent run()s over the SAME trace); concurrently warming
   /// DIFFERENT traces while other runs are in flight is not supported.
   void warm_paths(const std::vector<PaymentSpec>& trace) const;

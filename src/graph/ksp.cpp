@@ -3,17 +3,40 @@
 #include <algorithm>
 #include <set>
 
-#include "graph/shortest_path.hpp"
-
 namespace spider {
 
-std::vector<Path> yen_k_shortest_paths(const Graph& g, NodeId src, NodeId dst,
-                                       int k) {
-  SPIDER_ASSERT(k >= 0);
+KspSearch::KspSearch(const Graph& g)
+    : graph_(&g),
+      kernel_(g),
+      blocked_(static_cast<std::size_t>(g.num_edges()), 0) {}
+
+std::vector<Path> KspSearch::edge_disjoint(Path first, int k) {
+  SPIDER_ASSERT(k >= 1 && !first.empty());
+  const NodeId src = first.source();
+  const NodeId dst = first.destination();
+  // Exact early exit: every path spends one unused edge at each endpoint,
+  // so once either endpoint has none left the next BFS would fail anyway.
+  const std::size_t limit = std::min({static_cast<std::size_t>(k),
+                                      graph_->degree(src),
+                                      graph_->degree(dst)});
   std::vector<Path> result;
-  if (k == 0) return result;
-  Path first = bfs_path(g, src, dst);
-  if (first.empty()) return result;
+  result.reserve(limit);
+  result.push_back(std::move(first));
+  while (result.size() < limit) {
+    for (const EdgeId e : result.back().edges)
+      blocked_[static_cast<std::size_t>(e)] = 1;
+    if (!kernel_.run(src, dst, blocked_)) break;
+    kernel_.path_to(dst, result.emplace_back());
+  }
+  for (const Path& p : result)
+    for (const EdgeId e : p.edges) blocked_[static_cast<std::size_t>(e)] = 0;
+  return result;
+}
+
+std::vector<Path> KspSearch::yen(Path first, int k) {
+  SPIDER_ASSERT(k >= 1 && !first.empty());
+  const NodeId dst = first.destination();
+  std::vector<Path> result;
   result.push_back(std::move(first));
 
   // Candidate set ordered by (length, node sequence) for determinism.
@@ -22,48 +45,39 @@ std::vector<Path> yen_k_shortest_paths(const Graph& g, NodeId src, NodeId dst,
     return x.nodes < y.nodes;
   };
   std::set<Path, decltype(cmp)> candidates(cmp);
+  Path spur_path;
 
   while (static_cast<int>(result.size()) < k) {
     const Path& prev = result.back();
-    // Each node of the previous path (except the last) is a spur node.
+    // Each node of the previous path (except the last) is a spur node; the
+    // root is prev.nodes[0..i].
     for (std::size_t i = 0; i + 1 < prev.nodes.size(); ++i) {
-      const NodeId spur = prev.nodes[i];
-      const std::vector<NodeId> root_nodes(prev.nodes.begin(),
-                                           prev.nodes.begin() +
-                                               static_cast<std::ptrdiff_t>(i) +
-                                               1);
+      const auto root_end =
+          prev.nodes.begin() + static_cast<std::ptrdiff_t>(i) + 1;
 
       // Edges leaving the spur node along any accepted path sharing this
-      // root must be excluded, as must all edges touching interior root
-      // nodes (keeps spur paths loopless w.r.t. the root).
-      std::set<EdgeId> banned_edges;
+      // root must be excluded, as must every interior root node (keeps
+      // spur paths loopless w.r.t. the root).
+      banned_.clear();
       for (const Path& p : result) {
-        if (p.nodes.size() > i &&
-            std::equal(root_nodes.begin(), root_nodes.end(),
-                       p.nodes.begin())) {
-          if (p.edges.size() > i) banned_edges.insert(p.edges[i]);
+        if (p.edges.size() > i &&
+            std::equal(prev.nodes.begin(), root_end, p.nodes.begin())) {
+          banned_.push_back(p.edges[i]);
+          blocked_[static_cast<std::size_t>(p.edges[i])] = 1;
         }
       }
-      std::vector<char> banned_node(
-          static_cast<std::size_t>(g.num_nodes()), 0);
-      for (std::size_t j = 0; j < i; ++j)
-        banned_node[static_cast<std::size_t>(root_nodes[j])] = 1;
-
-      const auto filter = [&](EdgeId e) {
-        if (banned_edges.count(e) > 0) return false;
-        const Graph::Edge& ed = g.edge(e);
-        if (banned_node[static_cast<std::size_t>(ed.a)] ||
-            banned_node[static_cast<std::size_t>(ed.b)])
-          return false;
-        return true;
-      };
-      const Path spur_path = bfs_path(g, spur, dst, filter);
-      if (spur_path.empty()) continue;
+      const bool found = kernel_.run(prev.nodes[i], dst, blocked_,
+                                     {prev.nodes.data(), i});
+      for (const EdgeId e : banned_) blocked_[static_cast<std::size_t>(e)] = 0;
+      if (!found) continue;
+      kernel_.path_to(dst, spur_path);
 
       Path total;
-      total.nodes = root_nodes;
+      total.nodes.reserve(i + spur_path.nodes.size());
+      total.nodes.assign(prev.nodes.begin(), root_end);
       total.nodes.insert(total.nodes.end(), spur_path.nodes.begin() + 1,
                          spur_path.nodes.end());
+      total.edges.reserve(i + spur_path.edges.size());
       total.edges.assign(prev.edges.begin(),
                          prev.edges.begin() + static_cast<std::ptrdiff_t>(i));
       total.edges.insert(total.edges.end(), spur_path.edges.begin(),
@@ -78,21 +92,33 @@ std::vector<Path> yen_k_shortest_paths(const Graph& g, NodeId src, NodeId dst,
   return result;
 }
 
+namespace {
+
+/// The shared front end of the two free functions: the pair's first path,
+/// or nothing when there is no pair to route (k == 0, src == dst,
+/// unreachable).
+[[nodiscard]] Path first_path(const Graph& g, NodeId src, NodeId dst,
+                              int k) {
+  SPIDER_ASSERT(k >= 0);
+  SPIDER_ASSERT(src >= 0 && src < g.num_nodes());
+  if (k == 0 || src == dst) return {};
+  return bfs_path(g, src, dst);
+}
+
+}  // namespace
+
+std::vector<Path> yen_k_shortest_paths(const Graph& g, NodeId src, NodeId dst,
+                                       int k) {
+  Path first = first_path(g, src, dst, k);
+  if (first.empty()) return {};
+  return KspSearch(g).yen(std::move(first), k);
+}
+
 std::vector<Path> edge_disjoint_paths(const Graph& g, NodeId src, NodeId dst,
                                       int k) {
-  SPIDER_ASSERT(k >= 0);
-  std::vector<Path> result;
-  std::vector<char> used(static_cast<std::size_t>(g.num_edges()), 0);
-  const auto filter = [&](EdgeId e) {
-    return !used[static_cast<std::size_t>(e)];
-  };
-  for (int i = 0; i < k; ++i) {
-    Path p = bfs_path(g, src, dst, filter);
-    if (p.empty()) break;
-    for (EdgeId e : p.edges) used[static_cast<std::size_t>(e)] = 1;
-    result.push_back(std::move(p));
-  }
-  return result;
+  Path first = first_path(g, src, dst, k);
+  if (first.empty()) return {};
+  return KspSearch(g).edge_disjoint(std::move(first), k);
 }
 
 }  // namespace spider

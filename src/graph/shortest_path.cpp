@@ -3,64 +3,91 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
+#include <tuple>
 
 namespace spider {
 
 namespace {
 
-Path path_from_parents(const Graph&, NodeId src, NodeId dst,
-                       const std::vector<NodeId>& parent,
-                       const std::vector<EdgeId>& parent_edge) {
-  Path p;
-  if (dst != src && parent[static_cast<std::size_t>(dst)] == kInvalidNode)
-    return p;  // unreachable
-  std::vector<NodeId> rev_nodes;
-  std::vector<EdgeId> rev_edges;
+/// Overwrites `out` with the parent-chain path src -> dst, filled back to
+/// front in place (one walk to size it, one to write it).
+void write_path(NodeId src, NodeId dst, const std::vector<NodeId>& parent,
+                const std::vector<EdgeId>& parent_edge, Path& out) {
+  std::size_t hops = 0;
+  for (NodeId cur = dst; cur != src;
+       cur = parent[static_cast<std::size_t>(cur)])
+    ++hops;
+  out.nodes.resize(hops + 1);
+  out.edges.resize(hops);
   NodeId cur = dst;
-  rev_nodes.push_back(cur);
-  while (cur != src) {
-    rev_edges.push_back(parent_edge[static_cast<std::size_t>(cur)]);
+  for (std::size_t i = hops; i > 0; --i) {
+    out.nodes[i] = cur;
+    out.edges[i - 1] = parent_edge[static_cast<std::size_t>(cur)];
     cur = parent[static_cast<std::size_t>(cur)];
-    rev_nodes.push_back(cur);
   }
-  p.nodes.assign(rev_nodes.rbegin(), rev_nodes.rend());
-  p.edges.assign(rev_edges.rbegin(), rev_edges.rend());
-  return p;
+  out.nodes[0] = src;
 }
 
 }  // namespace
 
-Path bfs_path(const Graph& g, NodeId src, NodeId dst,
-              const EdgeFilter& filter) {
-  SPIDER_ASSERT(src >= 0 && src < g.num_nodes());
-  SPIDER_ASSERT(dst >= 0 && dst < g.num_nodes());
-  if (src == dst) return Path{{src}, {}};
-  const auto n = static_cast<std::size_t>(g.num_nodes());
-  std::vector<NodeId> parent(n, kInvalidNode);
-  std::vector<EdgeId> parent_edge(n, kInvalidEdge);
-  std::vector<char> seen(n, 0);
-  std::queue<NodeId> frontier;
-  frontier.push(src);
-  seen[static_cast<std::size_t>(src)] = 1;
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop();
-    for (const Graph::Adjacency& adj : g.neighbors(u)) {
-      if (filter && !filter(adj.edge)) continue;
-      if (seen[static_cast<std::size_t>(adj.peer)]) continue;
-      seen[static_cast<std::size_t>(adj.peer)] = 1;
-      parent[static_cast<std::size_t>(adj.peer)] = u;
-      parent_edge[static_cast<std::size_t>(adj.peer)] = adj.edge;
-      if (adj.peer == dst)
-        return path_from_parents(g, src, dst, parent, parent_edge);
-      frontier.push(adj.peer);
+BfsKernel::BfsKernel(const Graph& g)
+    : graph_(&g),
+      stamp_(static_cast<std::size_t>(g.num_nodes()), 0),
+      parent_(static_cast<std::size_t>(g.num_nodes()), kInvalidNode),
+      parent_edge_(static_cast<std::size_t>(g.num_nodes()), kInvalidEdge),
+      queue_(static_cast<std::size_t>(g.num_nodes())) {}
+
+bool BfsKernel::run(NodeId src, NodeId dst, EdgeMask blocked,
+                    std::span<const NodeId> blocked_nodes) {
+  SPIDER_ASSERT(src >= 0 && src < graph_->num_nodes());
+  SPIDER_ASSERT(dst == kInvalidNode ||
+                (dst >= 0 && dst < graph_->num_nodes()));
+  SPIDER_ASSERT(blocked.empty() ||
+                blocked.size() >= static_cast<std::size_t>(
+                                      graph_->num_edges()));
+  if (++epoch_ == 0) {  // stamps wrapped: clear them once every 2^32 runs
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    epoch_ = 1;
+  }
+  for (const NodeId n : blocked_nodes)
+    stamp_[static_cast<std::size_t>(n)] = epoch_;
+  src_ = src;
+  stamp_[static_cast<std::size_t>(src)] = epoch_;
+  if (src == dst) return true;
+  std::size_t head = 0;
+  std::size_t tail = 0;
+  queue_[tail++] = src;
+  while (head < tail) {
+    const NodeId u = queue_[head++];
+    for (const Graph::Adjacency& adj : graph_->neighbors(u)) {
+      if (!blocked.empty() && blocked[static_cast<std::size_t>(adj.edge)])
+        continue;
+      const auto v = static_cast<std::size_t>(adj.peer);
+      if (stamp_[v] == epoch_) continue;
+      stamp_[v] = epoch_;
+      parent_[v] = u;
+      parent_edge_[v] = adj.edge;
+      if (adj.peer == dst) return true;
+      queue_[tail++] = adj.peer;
     }
   }
-  return Path{};
+  return dst == kInvalidNode;
 }
 
-std::vector<int> bfs_distances(const Graph& g, NodeId src,
-                               const EdgeFilter& filter) {
+void BfsKernel::path_to(NodeId n, Path& out) const {
+  SPIDER_ASSERT(reached(n));
+  write_path(src_, n, parent_, parent_edge_, out);
+}
+
+Path bfs_path(const Graph& g, NodeId src, NodeId dst, EdgeMask blocked) {
+  SPIDER_ASSERT(dst >= 0 && dst < g.num_nodes());
+  BfsKernel kernel(g);
+  Path p;
+  if (kernel.run(src, dst, blocked)) kernel.path_to(dst, p);
+  return p;
+}
+
+std::vector<int> bfs_distances(const Graph& g, NodeId src) {
   SPIDER_ASSERT(src >= 0 && src < g.num_nodes());
   std::vector<int> dist(static_cast<std::size_t>(g.num_nodes()), -1);
   std::queue<NodeId> frontier;
@@ -70,7 +97,6 @@ std::vector<int> bfs_distances(const Graph& g, NodeId src,
     const NodeId u = frontier.front();
     frontier.pop();
     for (const Graph::Adjacency& adj : g.neighbors(u)) {
-      if (filter && !filter(adj.edge)) continue;
       auto& d = dist[static_cast<std::size_t>(adj.peer)];
       if (d == -1) {
         d = dist[static_cast<std::size_t>(u)] + 1;
@@ -82,8 +108,7 @@ std::vector<int> bfs_distances(const Graph& g, NodeId src,
 }
 
 Path dijkstra_path(const Graph& g, NodeId src, NodeId dst,
-                   const std::vector<double>& edge_weight,
-                   const EdgeFilter& filter) {
+                   const std::vector<double>& edge_weight) {
   SPIDER_ASSERT(src >= 0 && src < g.num_nodes());
   SPIDER_ASSERT(dst >= 0 && dst < g.num_nodes());
   SPIDER_ASSERT(edge_weight.size() ==
@@ -112,7 +137,6 @@ Path dijkstra_path(const Graph& g, NodeId src, NodeId dst,
     done[static_cast<std::size_t>(u)] = 1;
     if (u == dst) break;
     for (const Graph::Adjacency& adj : g.neighbors(u)) {
-      if (filter && !filter(adj.edge)) continue;
       const double w = edge_weight[static_cast<std::size_t>(adj.edge)];
       SPIDER_ASSERT_MSG(w >= 0, "dijkstra requires non-negative weights");
       const double nd = d + w;
@@ -128,7 +152,9 @@ Path dijkstra_path(const Graph& g, NodeId src, NodeId dst,
     }
   }
   if (dist[static_cast<std::size_t>(dst)] == kInf) return Path{};
-  return path_from_parents(g, src, dst, parent, parent_edge);
+  Path p;
+  write_path(src, dst, parent, parent_edge, p);
+  return p;
 }
 
 }  // namespace spider

@@ -99,15 +99,21 @@ class Tableau {
     const double inv = 1.0 / p;
     for (int j = 0; j < cols_; ++j) at(row, j) *= inv;
     at(row, col) = 1.0;  // kill rounding residue
+    // Eliminate over the pivot row's nonzero columns only: x - f * 0 == x
+    // (up to the sign of a zero x, which no comparison or division below
+    // can observe), so skipping them leaves every other entry unchanged.
+    const double* source = &t_[static_cast<std::size_t>(row) *
+                               static_cast<std::size_t>(cols_)];
+    nonzero_.clear();
+    for (int j = 0; j < cols_; ++j)
+      if (source[j] != 0.0) nonzero_.push_back(j);
     for (int i = 0; i < rows_; ++i) {
       if (i == row) continue;
       const double factor = at(i, col);
       if (factor == 0.0) continue;
       double* target = &t_[static_cast<std::size_t>(i) *
                            static_cast<std::size_t>(cols_)];
-      const double* source = &t_[static_cast<std::size_t>(row) *
-                                 static_cast<std::size_t>(cols_)];
-      for (int j = 0; j < cols_; ++j) target[j] -= factor * source[j];
+      for (const int j : nonzero_) target[j] -= factor * source[j];
       at(i, col) = 0.0;
     }
     basis_[static_cast<std::size_t>(row)] = col;
@@ -143,6 +149,7 @@ class Tableau {
   int num_artificial_ = 0;
   std::vector<double> t_;
   std::vector<int> basis_;
+  std::vector<int> nonzero_;  // pivot scratch: the pivot row's support
 };
 
 /// Recomputes the reduced-cost row for objective `c` (length = decision

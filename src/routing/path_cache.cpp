@@ -1,6 +1,12 @@
 #include "routing/path_cache.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <exception>
+#include <mutex>
+#include <system_error>
+#include <thread>
 
 #include "graph/ksp.hpp"
 #include "util/assert.hpp"
@@ -34,33 +40,21 @@ PathCache::PairEntry PathCache::lookup(NodeId src, NodeId dst) const {
   return it == sparse_index_.end() ? PairEntry{} : it->second;
 }
 
-PathCache::PairEntry PathCache::compute_and_store(NodeId src, NodeId dst) {
-  std::vector<Path> found;
-  switch (selection_) {
-    case PathSelection::kEdgeDisjoint:
-      found = edge_disjoint_paths(*graph_, src, dst, k_);
-      break;
-    case PathSelection::kYen:
-      found = yen_k_shortest_paths(*graph_, src, dst, k_);
-      break;
-  }
-  PairEntry entry;
-  entry.begin = static_cast<std::uint32_t>(arena_.size());
-  entry.count = static_cast<std::int32_t>(found.size());
-  arena_.insert(arena_.end(), std::make_move_iterator(found.begin()),
-                std::make_move_iterator(found.end()));
-  if (dense_)
-    dense_index_[dense_key(src, dst)] = entry;
-  else
-    sparse_index_[sparse_key(src, dst)] = entry;
-  ++pair_count_;
-  return entry;
+PathCache::PairEntry& PathCache::slot(NodeId src, NodeId dst) {
+  SPIDER_ASSERT(src >= 0 && src < graph_->num_nodes());
+  SPIDER_ASSERT(dst >= 0 && dst < graph_->num_nodes());
+  if (dense_) return dense_index_[dense_key(src, dst)];
+  return sparse_index_[sparse_key(src, dst)];
 }
 
 std::span<const Path> PathCache::paths(NodeId src, NodeId dst) {
   if (src == dst) return {};
   PairEntry entry = lookup(src, dst);
-  if (entry.count < 0) entry = compute_and_store(src, dst);
+  if (entry.count < 0) {
+    const std::pair<NodeId, NodeId> pair{src, dst};
+    warm({&pair, 1});
+    entry = lookup(src, dst);
+  }
   return resolve(entry);
 }
 
@@ -74,12 +68,104 @@ bool PathCache::contains(NodeId src, NodeId dst) const {
   return src == dst || lookup(src, dst).count >= 0;
 }
 
-void PathCache::warm(std::span<const std::pair<NodeId, NodeId>> pairs) {
-  for (const auto& [src, dst] : pairs) {
-    if (src == dst) continue;
-    if (lookup(src, dst).count >= 0) continue;
-    (void)compute_and_store(src, dst);
+void PathCache::warm(std::span<const std::pair<NodeId, NodeId>> pairs,
+                     unsigned threads) {
+  // The missing pairs, deduplicated in first-appearance order (the order
+  // they are stored in): a pending mark in the index filters repeats. A
+  // warm that fails (an out-of-range pair, a worker's exception) clears
+  // its marks again, so the store is left as it was.
+  std::vector<std::pair<NodeId, NodeId>> missing;
+  const auto unmark = [&] {
+    for (const auto& [src, dst] : missing) slot(src, dst).count = kMissing;
+  };
+  try {
+    for (const auto& [src, dst] : pairs) {
+      if (src == dst) continue;
+      PairEntry& entry = slot(src, dst);
+      if (entry.count != kMissing) continue;
+      missing.emplace_back(src, dst);
+      entry.count = kPending;
+    }
+  } catch (...) {
+    unmark();
+    throw;
   }
+  if (missing.empty()) return;
+
+  // Group the pairs (as indices into `missing`) by source.
+  constexpr std::uint32_t kNoGroup = UINT32_MAX;
+  std::vector<std::uint32_t> group_of(
+      static_cast<std::size_t>(graph_->num_nodes()), kNoGroup);
+  std::vector<std::vector<std::uint32_t>> groups;
+  for (std::uint32_t i = 0; i < missing.size(); ++i) {
+    std::uint32_t& group =
+        group_of[static_cast<std::size_t>(missing[i].first)];
+    if (group == kNoGroup) {
+      group = static_cast<std::uint32_t>(groups.size());
+      groups.emplace_back();
+    }
+    groups[group].push_back(i);
+  }
+
+  // Each worker claims whole source groups; a pair's result depends only
+  // on the graph, so which worker computes it cannot change it. A worker's
+  // exception is caught and rethrown here once every thread has joined.
+  std::vector<std::vector<Path>> found(missing.size());
+  std::atomic<std::size_t> next_group{0};
+  std::mutex failure_mutex;
+  std::exception_ptr failure;  // guarded by failure_mutex
+  const auto work = [&] {
+    try {
+      BfsKernel tree(*graph_);
+      KspSearch search(*graph_);
+      for (std::size_t g = next_group.fetch_add(1); g < groups.size();
+           g = next_group.fetch_add(1)) {
+        const std::vector<std::uint32_t>& members = groups[g];
+        const NodeId src = missing[members.front()].first;
+        // A lone pair needs only the search that stops at its
+        // destination; its parents are the full tree's.
+        tree.run(src, members.size() == 1 ? missing[members.front()].second
+                                          : kInvalidNode);
+        for (const std::uint32_t i : members) {
+          const NodeId dst = missing[i].second;
+          if (!tree.reached(dst)) continue;
+          Path first;
+          tree.path_to(dst, first);
+          found[i] = selection_ == PathSelection::kEdgeDisjoint
+                         ? search.edge_disjoint(std::move(first), k_)
+                         : search.yen(std::move(first), k_);
+        }
+      }
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(failure_mutex);
+      if (!failure) failure = std::current_exception();
+    }
+  };
+  const auto workers =
+      static_cast<unsigned>(std::min<std::size_t>(std::max(threads, 1u),
+                                                  groups.size()));
+  std::vector<std::thread> pool;
+  pool.reserve(workers - 1);
+  try {
+    for (unsigned w = 1; w < workers; ++w) pool.emplace_back(work);
+  } catch (const std::system_error&) {
+    // Fewer threads than asked for: the running ones claim every group.
+  }
+  work();
+  for (std::thread& t : pool) t.join();
+  if (failure) {
+    unmark();
+    std::rethrow_exception(failure);
+  }
+
+  for (std::size_t i = 0; i < missing.size(); ++i) {
+    PairEntry& entry = slot(missing[i].first, missing[i].second);
+    entry.begin = static_cast<std::uint32_t>(arena_.size());
+    entry.count = static_cast<std::int32_t>(found[i].size());
+    arena_.insert(arena_.end(), std::make_move_iterator(found[i].begin()),
+                  std::make_move_iterator(found[i].end()));
+  }
+  pair_count_ += missing.size();
 }
 
 void CandidatePaths::init(const Graph& graph, int k, PathSelection selection,

@@ -14,10 +14,21 @@
 // shared read-only across ExperimentRunner workers instead of every run
 // redoing Yen / edge-disjoint searches.
 //
+// Warm-up: `warm` deduplicates the missing pairs in first-appearance order,
+// groups them by source and reads each pair's first path off one BFS tree
+// per source (BFS discovery order is fixed, so these are exactly the
+// parents a per-pair search would find); the remaining paths come from the
+// shared BFS kernel under a blocked-edge mask. A lazy miss in `paths` is a
+// one-pair warm, so there is one computation path.
+//
 // Thread-safety: const lookups (`cached`, `contains`) may run concurrently
-// from any number of threads. Mutations (`paths` on a miss, `warm`) must be
-// externally serialized and must not overlap const readers — the
-// SpiderNetwork facade warms under a lock before handing the store out.
+// from any number of threads. `warm` is internally parallel — sources are
+// spread over `threads` workers, each with its own BFS scratch, writing
+// disjoint per-pair result slots that are appended to the arena in
+// first-appearance order afterwards, so every thread count stores the same
+// bytes — but externally serialized: mutations (`paths` on a miss, `warm`)
+// must not overlap each other or const readers. The SpiderNetwork facade
+// warms under a lock before handing the store out.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +66,12 @@ class PathCache {
   /// always stored: their answer is the empty set).
   [[nodiscard]] bool contains(NodeId src, NodeId dst) const;
 
-  /// Precomputes every listed pair not yet stored. Idempotent.
-  void warm(std::span<const std::pair<NodeId, NodeId>> pairs);
+  /// Precomputes every listed pair not yet stored, on up to `threads`
+  /// worker threads (the calling thread is one of them; 1 spawns none).
+  /// The stored arena is the same for every thread count. Idempotent: when
+  /// nothing is missing it only reads.
+  void warm(std::span<const std::pair<NodeId, NodeId>> pairs,
+            unsigned threads = 1);
 
   [[nodiscard]] int k() const { return k_; }
   [[nodiscard]] PathSelection selection() const { return selection_; }
@@ -69,9 +84,12 @@ class PathCache {
   static constexpr NodeId kDenseNodeLimit = 4096;
 
  private:
+  static constexpr std::int32_t kMissing = -1;  // not yet computed
+  static constexpr std::int32_t kPending = -2;  // queued by a running warm
+
   struct PairEntry {
     std::uint32_t begin = 0;
-    std::int32_t count = -1;  // -1: not yet computed
+    std::int32_t count = kMissing;
   };
 
   [[nodiscard]] std::size_t dense_key(NodeId src, NodeId dst) const {
@@ -85,7 +103,8 @@ class PathCache {
            static_cast<std::uint32_t>(dst);
   }
   [[nodiscard]] PairEntry lookup(NodeId src, NodeId dst) const;
-  [[nodiscard]] PairEntry compute_and_store(NodeId src, NodeId dst);
+  /// The pair's index slot, created (kMissing) if absent.
+  [[nodiscard]] PairEntry& slot(NodeId src, NodeId dst);
   [[nodiscard]] std::span<const Path> resolve(const PairEntry& entry) const {
     return {arena_.data() + entry.begin,
             static_cast<std::size_t>(entry.count)};

@@ -151,8 +151,11 @@ TEST(BfsPath, UnreachableReturnsEmpty) {
 
 TEST(BfsPath, FilterExcludesEdges) {
   const Graph g = diamond();
-  // Remove 0-1: forced through 0-2.
-  const Path p = bfs_path(g, 0, 3, [](EdgeId e) { return e != 0; });
+  // Block 0-1: forced through 0-2.
+  std::vector<std::uint8_t> blocked(static_cast<std::size_t>(g.num_edges()),
+                                    0);
+  blocked[0] = 1;
+  const Path p = bfs_path(g, 0, 3, blocked);
   ASSERT_EQ(p.length(), 2u);
   EXPECT_EQ(p.nodes[1], 2);
 }

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cstring>
 #include <queue>
+#include <span>
+#include <string>
 
 #include "core/scenario.hpp"
 #include "core/spider.hpp"
@@ -19,6 +21,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "test_support.hpp"
+#include "topology/topology.hpp"
 #include "util/random.hpp"
 
 namespace spider {
@@ -201,6 +204,145 @@ TEST(FlatPathStore, SparseIndexBeyondDenseLimitMatchesDense) {
     EXPECT_EQ(stored[i], direct[i]);
   EXPECT_TRUE(store.contains(0, 5));
   EXPECT_FALSE(store.contains(5, 0));
+}
+
+/// `g` plus two extra nodes: an isolated one (n) and a pendant one (n + 1,
+/// one channel to node 0) whose single edge exhausts it after one path.
+Graph with_isolated_and_pendant(const Graph& g) {
+  const NodeId n = g.num_nodes();
+  Graph out(n + 2);
+  for (EdgeId e = 0; e < g.num_edges(); ++e)
+    out.add_edge(g.edge(e).a, g.edge(e).b, g.edge(e).capacity);
+  out.add_edge(0, n + 1, xrp(10));
+  return out;
+}
+
+/// `pairs` plus the awkward cases a warm must store exactly as a serial one:
+/// every pair again (duplicates), self-pairs, and pairs touching the
+/// isolated (n - 2) and pendant (n - 1) nodes of with_isolated_and_pendant.
+std::vector<std::pair<NodeId, NodeId>> awkward_pairs(
+    std::vector<std::pair<NodeId, NodeId>> pairs, NodeId n) {
+  const std::size_t base = pairs.size();
+  for (std::size_t i = 0; i < base; ++i) pairs.push_back(pairs[i]);
+  for (NodeId x = 0; x < std::min<NodeId>(n - 2, 12); ++x) {
+    pairs.emplace_back(x, x);
+    pairs.emplace_back(x, n - 2);
+    pairs.emplace_back(n - 2, x);
+    pairs.emplace_back(n - 1, x);
+    pairs.emplace_back(x, n - 1);
+  }
+  pairs.emplace_back(n - 1, n - 1);
+  return pairs;
+}
+
+/// Same pair/path counts, and every pair's span at the same arena offset
+/// with the same paths.
+void expect_same_store(const PathCache& serial, const PathCache& parallel,
+                       std::span<const std::pair<NodeId, NodeId>> pairs,
+                       const std::string& label) {
+  ASSERT_EQ(parallel.pair_count(), serial.pair_count()) << label;
+  ASSERT_EQ(parallel.path_count(), serial.path_count()) << label;
+  const auto [src0, dst0] = pairs.front();
+  const Path* serial_base = serial.cached(src0, dst0).data();
+  const Path* parallel_base = parallel.cached(src0, dst0).data();
+  for (const auto& [src, dst] : pairs) {
+    ASSERT_EQ(parallel.contains(src, dst), serial.contains(src, dst))
+        << label << " (" << src << " -> " << dst << ")";
+    if (src == dst) continue;
+    const std::span<const Path> a = serial.cached(src, dst);
+    const std::span<const Path> b = parallel.cached(src, dst);
+    ASSERT_EQ(b.data() - parallel_base, a.data() - serial_base)
+        << label << " (" << src << " -> " << dst << ")";
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << label << " (" << src << " -> " << dst << ")";
+  }
+}
+
+void expect_warm_identical_across_threads(
+    const Graph& graph, std::span<const std::pair<NodeId, NodeId>> pairs,
+    const std::string& name) {
+  for (const PathSelection selection :
+       {PathSelection::kEdgeDisjoint, PathSelection::kYen}) {
+    PathCache serial(graph, 4, selection);
+    serial.warm(pairs, 1);
+    for (const unsigned threads : {2u, 4u, 7u}) {
+      PathCache parallel(graph, 4, selection);
+      parallel.warm(pairs, threads);
+      expect_same_store(serial, parallel, pairs,
+                        name + " " + path_selection_name(selection) + " x" +
+                            std::to_string(threads));
+    }
+  }
+}
+
+TEST(FlatPathStore, ParallelWarmMatchesSerialOnEveryRegistryScenario) {
+  ScenarioParams params;
+  params.payments = 150;
+  params.nodes = 120;  // keeps ripple-full (default 3774) test-sized
+  provide_replay_files(params, 150);
+  for (const auto& entry : ScenarioRegistry::instance().list()) {
+    const ScenarioInstance scenario = build_scenario(entry.name, params);
+    const Graph graph = with_isolated_and_pendant(scenario.graph);
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    for (const PaymentSpec& spec : scenario.trace)
+      pairs.emplace_back(spec.src, spec.dst);
+    pairs = awkward_pairs(std::move(pairs), graph.num_nodes());
+    expect_warm_identical_across_threads(graph, pairs, entry.name);
+  }
+}
+
+TEST(FlatPathStore, ParallelWarmMatchesSerialOnRippleLike250) {
+  const Graph graph =
+      with_isolated_and_pendant(ripple_like_topology(250, xrp(100)));
+  Rng rng(7);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (int i = 0; i < 600; ++i)
+    pairs.emplace_back(static_cast<NodeId>(rng.uniform_int(0, 249)),
+                       static_cast<NodeId>(rng.uniform_int(0, 249)));
+  pairs = awkward_pairs(std::move(pairs), graph.num_nodes());
+  expect_warm_identical_across_threads(graph, pairs, "ripple-like-250");
+}
+
+TEST(FlatPathStore, WarmIsIncrementalAndLazyMissesMatchWarm) {
+  // Warming in two halves, or filling the store through lazy paths()
+  // misses, stores the same arena as one warm over the whole list.
+  const Graph graph =
+      with_isolated_and_pendant(ripple_like_topology(80, xrp(100)));
+  Rng rng(3);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (int i = 0; i < 300; ++i)
+    pairs.emplace_back(static_cast<NodeId>(rng.uniform_int(0, 79)),
+                       static_cast<NodeId>(rng.uniform_int(0, 79)));
+  pairs = awkward_pairs(std::move(pairs), graph.num_nodes());
+  PathCache whole(graph, 4, PathSelection::kEdgeDisjoint);
+  whole.warm(pairs, 4);
+  const std::size_t half = pairs.size() / 2;
+  PathCache halves(graph, 4, PathSelection::kEdgeDisjoint);
+  halves.warm(std::span(pairs).first(half), 3);
+  halves.warm(std::span(pairs).subspan(half), 3);
+  expect_same_store(whole, halves, pairs, "halves");
+  PathCache lazy(graph, 4, PathSelection::kEdgeDisjoint);
+  for (const auto& [src, dst] : pairs) (void)lazy.paths(src, dst);
+  expect_same_store(whole, lazy, pairs, "lazy");
+  const std::size_t paths = whole.path_count();
+  whole.warm(pairs, 4);  // nothing missing: a pure read
+  EXPECT_EQ(whole.path_count(), paths);
+}
+
+TEST(FlatPathStore, FailedWarmLeavesStoreUnchanged) {
+  // An out-of-range pair after valid ones rejects the whole warm; the valid
+  // pairs stay computable afterwards (no stale pending marks).
+  const Graph graph = ring_topology(6, xrp(10));
+  PathCache store(graph, 2, PathSelection::kEdgeDisjoint);
+  const std::vector<std::pair<NodeId, NodeId>> pairs = {
+      {0, 3}, {1, 4}, {2, 99}};
+  EXPECT_THROW(store.warm(pairs, 2), AssertionError);
+  EXPECT_EQ(store.pair_count(), 0u);
+  EXPECT_FALSE(store.contains(0, 3));
+  EXPECT_EQ(store.paths(0, 3).size(), 2u);
+  store.warm(std::span(pairs).first(2), 2);
+  EXPECT_EQ(store.pair_count(), 2u);
+  EXPECT_EQ(store.cached(1, 4).size(), 2u);
 }
 
 TEST(TrafficGenerator, NeverEmitsSelfPairs) {

@@ -2,6 +2,9 @@
 // greedy edge-disjoint paths).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <queue>
 #include <set>
 
 #include "graph/ksp.hpp"
@@ -62,6 +65,11 @@ TEST(Yen, UnreachableReturnsNothing) {
   EXPECT_TRUE(yen_k_shortest_paths(g, 0, 3, 3).empty());
 }
 
+TEST(Yen, SelfPairReturnsNothing) {
+  const Graph g = ring_topology(5, 1);
+  EXPECT_TRUE(yen_k_shortest_paths(g, 2, 2, 4).empty());
+}
+
 TEST(Yen, CompleteGraphCounts) {
   const Graph g = complete_topology(5, 1);
   // K5 paths 0->4 sorted by length: 1 direct, 3 two-hop, then longer.
@@ -107,6 +115,11 @@ TEST(EdgeDisjoint, DiamondYieldsTwo) {
   g.add_edge(0, 2, 1);
   g.add_edge(2, 3, 1);
   EXPECT_EQ(edge_disjoint_paths(g, 0, 3, 4).size(), 2u);
+}
+
+TEST(EdgeDisjoint, SelfPairReturnsNothing) {
+  const Graph g = ring_topology(5, 1);
+  EXPECT_TRUE(edge_disjoint_paths(g, 2, 2, 4).empty());
 }
 
 TEST(EdgeDisjoint, CountBoundedByMinDegree) {
@@ -157,6 +170,195 @@ TEST_P(PathSelectionProperty, RandomGraphInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PathSelectionProperty,
                          testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// ---------------------------------------------------------------------------
+// Shared BFS kernel vs the std::queue + std::function searches it replaced.
+// ---------------------------------------------------------------------------
+
+namespace oracle {
+
+using EdgeFilter = std::function<bool(EdgeId)>;
+
+Path bfs_path(const Graph& g, NodeId src, NodeId dst,
+              const EdgeFilter& filter = nullptr) {
+  if (src == dst) return Path{{src}, {}};
+  const auto n = static_cast<std::size_t>(g.num_nodes());
+  std::vector<NodeId> parent(n, kInvalidNode);
+  std::vector<EdgeId> parent_edge(n, kInvalidEdge);
+  std::vector<char> seen(n, 0);
+  std::queue<NodeId> frontier;
+  frontier.push(src);
+  seen[static_cast<std::size_t>(src)] = 1;
+  while (!frontier.empty()) {
+    const NodeId u = frontier.front();
+    frontier.pop();
+    for (const Graph::Adjacency& adj : g.neighbors(u)) {
+      if (filter && !filter(adj.edge)) continue;
+      if (seen[static_cast<std::size_t>(adj.peer)]) continue;
+      seen[static_cast<std::size_t>(adj.peer)] = 1;
+      parent[static_cast<std::size_t>(adj.peer)] = u;
+      parent_edge[static_cast<std::size_t>(adj.peer)] = adj.edge;
+      if (adj.peer != dst) {
+        frontier.push(adj.peer);
+        continue;
+      }
+      std::vector<NodeId> rev_nodes{dst};
+      std::vector<EdgeId> rev_edges;
+      for (NodeId cur = dst; cur != src;) {
+        rev_edges.push_back(parent_edge[static_cast<std::size_t>(cur)]);
+        cur = parent[static_cast<std::size_t>(cur)];
+        rev_nodes.push_back(cur);
+      }
+      Path p;
+      p.nodes.assign(rev_nodes.rbegin(), rev_nodes.rend());
+      p.edges.assign(rev_edges.rbegin(), rev_edges.rend());
+      return p;
+    }
+  }
+  return Path{};
+}
+
+std::vector<Path> edge_disjoint_paths(const Graph& g, NodeId src,
+                                      NodeId dst, int k) {
+  std::vector<Path> result;
+  std::vector<char> used(static_cast<std::size_t>(g.num_edges()), 0);
+  const auto filter = [&](EdgeId e) {
+    return !used[static_cast<std::size_t>(e)];
+  };
+  for (int i = 0; i < k; ++i) {
+    Path p = oracle::bfs_path(g, src, dst, filter);
+    if (p.empty()) break;
+    for (EdgeId e : p.edges) used[static_cast<std::size_t>(e)] = 1;
+    result.push_back(std::move(p));
+  }
+  return result;
+}
+
+std::vector<Path> yen_k_shortest_paths(const Graph& g, NodeId src,
+                                       NodeId dst, int k) {
+  std::vector<Path> result;
+  if (k == 0) return result;
+  Path first = oracle::bfs_path(g, src, dst);
+  if (first.empty()) return result;
+  result.push_back(std::move(first));
+  auto cmp = [](const Path& x, const Path& y) {
+    if (x.length() != y.length()) return x.length() < y.length();
+    return x.nodes < y.nodes;
+  };
+  std::set<Path, decltype(cmp)> candidates(cmp);
+  while (static_cast<int>(result.size()) < k) {
+    const Path& prev = result.back();
+    for (std::size_t i = 0; i + 1 < prev.nodes.size(); ++i) {
+      const NodeId spur = prev.nodes[i];
+      const std::vector<NodeId> root_nodes(
+          prev.nodes.begin(),
+          prev.nodes.begin() + static_cast<std::ptrdiff_t>(i) + 1);
+      std::set<EdgeId> banned_edges;
+      for (const Path& p : result)
+        if (p.nodes.size() > i &&
+            std::equal(root_nodes.begin(), root_nodes.end(),
+                       p.nodes.begin()) &&
+            p.edges.size() > i)
+          banned_edges.insert(p.edges[i]);
+      std::vector<char> banned_node(static_cast<std::size_t>(g.num_nodes()),
+                                    0);
+      for (std::size_t j = 0; j < i; ++j)
+        banned_node[static_cast<std::size_t>(root_nodes[j])] = 1;
+      const auto filter = [&](EdgeId e) {
+        if (banned_edges.count(e) > 0) return false;
+        const Graph::Edge& ed = g.edge(e);
+        return !banned_node[static_cast<std::size_t>(ed.a)] &&
+               !banned_node[static_cast<std::size_t>(ed.b)];
+      };
+      const Path spur_path = oracle::bfs_path(g, spur, dst, filter);
+      if (spur_path.empty()) continue;
+      Path total;
+      total.nodes = root_nodes;
+      total.nodes.insert(total.nodes.end(), spur_path.nodes.begin() + 1,
+                         spur_path.nodes.end());
+      total.edges.assign(prev.edges.begin(),
+                         prev.edges.begin() + static_cast<std::ptrdiff_t>(i));
+      total.edges.insert(total.edges.end(), spur_path.edges.begin(),
+                         spur_path.edges.end());
+      if (std::find(result.begin(), result.end(), total) == result.end())
+        candidates.insert(std::move(total));
+    }
+    if (candidates.empty()) break;
+    result.push_back(*candidates.begin());
+    candidates.erase(candidates.begin());
+  }
+  return result;
+}
+
+}  // namespace oracle
+
+/// Copies `part` into `into` with node ids shifted by `offset`.
+void append_component(Graph& into, const Graph& part, NodeId offset) {
+  for (EdgeId e = 0; e < part.num_edges(); ++e) {
+    const Graph::Edge& edge = part.edge(e);
+    into.add_edge(edge.a + offset, edge.b + offset, edge.capacity);
+  }
+}
+
+/// A seeded random graph: a BA and an Erdős–Rényi component side by side
+/// (so half the pairs are disconnected), two isolated nodes, a few
+/// parallel channels and a few closed ones.
+Graph oracle_graph(std::uint64_t seed) {
+  Rng rng(seed);
+  const Graph ba = barabasi_albert_topology(30, 2, xrp(10), rng);
+  const Graph er = erdos_renyi_topology(25, 0.1, xrp(10), rng);
+  Graph g(ba.num_nodes() + er.num_nodes() + 2);
+  append_component(g, ba, 0);
+  append_component(g, er, ba.num_nodes());
+  for (int i = 0; i < 6; ++i) {
+    const EdgeId e = static_cast<EdgeId>(rng.uniform_int(0, g.num_edges() - 1));
+    g.add_edge(g.edge(e).a, g.edge(e).b, xrp(5));  // parallel channel
+  }
+  for (int i = 0; i < 4; ++i) {
+    const EdgeId e = static_cast<EdgeId>(rng.uniform_int(0, g.num_edges() - 1));
+    if (!g.edge_closed(e)) g.close_edge(e);
+  }
+  return g;
+}
+
+class KernelOracle : public testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(KernelOracle, MatchesQueueAndFilterSearches) {
+  const Graph g = oracle_graph(GetParam());
+  for (NodeId src = 0; src < g.num_nodes(); src += 3) {
+    for (NodeId dst = 0; dst < g.num_nodes(); ++dst) {
+      if (src == dst) continue;
+      ASSERT_EQ(bfs_path(g, src, dst), oracle::bfs_path(g, src, dst))
+          << src << " -> " << dst;
+      for (const int k : {1, 2, 4, 8}) {
+        EXPECT_EQ(edge_disjoint_paths(g, src, dst, k),
+                  oracle::edge_disjoint_paths(g, src, dst, k))
+            << "edge-disjoint k=" << k << " " << src << " -> " << dst;
+        EXPECT_EQ(yen_k_shortest_paths(g, src, dst, k),
+                  oracle::yen_k_shortest_paths(g, src, dst, k))
+            << "yen k=" << k << " " << src << " -> " << dst;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KernelOracle, testing::Values(1, 2, 3, 4));
+
+TEST(BfsKernel, FullTreeParentsMatchEarlyExitSearches) {
+  const Graph g = oracle_graph(9);
+  BfsKernel tree(g);
+  Path from_tree;
+  for (NodeId src = 0; src < g.num_nodes(); src += 5) {
+    ASSERT_TRUE(tree.run(src, kInvalidNode));
+    for (NodeId dst = 0; dst < g.num_nodes(); ++dst) {
+      const Path direct = bfs_path(g, src, dst);
+      ASSERT_EQ(tree.reached(dst), !direct.empty()) << src << " -> " << dst;
+      if (!tree.reached(dst)) continue;
+      tree.path_to(dst, from_tree);
+      EXPECT_EQ(from_tree, direct) << src << " -> " << dst;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace spider
