@@ -25,6 +25,7 @@
 #include "graph/ksp.hpp"
 #include "graph/maxflow.hpp"
 #include "lp/simplex.hpp"
+#include "routing/lp_router.hpp"
 #include "routing/path_cache.hpp"
 #include "routing/waterfilling_router.hpp"
 #include "sim/simulator.hpp"
@@ -330,6 +331,72 @@ void BM_MapPathCacheLookup(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_MapPathCacheLookup);
+
+// ---------------------------------------------------------------------------
+// Failed-retry layers: the poll's pending order and an LP plan that finds
+// nothing to route — most of a Spider (LP) run's retries on ISP.
+// ---------------------------------------------------------------------------
+
+/// One poll's ordering of 2k pending SRPT entries when ~4% of the payments
+/// locked or were refunded since the previous poll (80 keys flip per round).
+void BM_PendingOrderSrpt(benchmark::State& state) {
+  constexpr std::size_t kPending = 2000;
+  constexpr std::size_t kChangedPerRound = 80;
+  Rng rng(7);
+  std::vector<Payment> payments(kPending);
+  std::vector<PendingEntry> pending;
+  std::vector<PendingEntry> scratch;
+  for (std::size_t i = 0; i < kPending; ++i) {
+    payments[i].id = static_cast<PaymentId>(i);
+    payments[i].total = xrp(rng.uniform_int(1, 200));
+    payments[i].arrival = rng.uniform_int(0, seconds(50));
+    pending.push_back(PendingEntry{i, kNeverOrdered});
+  }
+  order_pending(SchedulerPolicy::kSrpt, payments, pending, scratch);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    for (std::size_t c = 0; c < kChangedPerRound; ++c) {
+      Payment& p = payments[(next += 25) % kPending];
+      p.inflight = p.inflight == 0 ? xrp(1) : 0;  // lock, later refund
+    }
+    order_pending(SchedulerPolicy::kSrpt, payments, pending, scratch);
+    benchmark::DoNotOptimize(pending.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kPending));
+}
+BENCHMARK(BM_PendingOrderSrpt);
+
+/// LpRouter::plan for pairs that are not in its table, on the ISP LP capped
+/// at 300 pairs (the repository benchmark's isp-lp): the pairs of a trace
+/// whose plan comes back empty, i.e. pairs the LP zeroed out or never
+/// modelled. Both are absent from the table, so each costs one row search.
+void BM_LpRouterPlanUnroutable(benchmark::State& state) {
+  ScenarioParams params;
+  params.payments = 20000;
+  const ScenarioInstance scenario = build_scenario("isp", params);
+  const Network network(scenario.graph);
+  LpRouter router(4, 300);
+  init_router_for_run(router, network, scenario.config.sim, &scenario.trace,
+                      nullptr);
+  Rng rng(1);
+  std::vector<Payment> unroutable;
+  for (const PaymentSpec& spec : scenario.trace) {
+    Payment p;
+    p.src = spec.src;
+    p.dst = spec.dst;
+    p.total = spec.amount;
+    if (router.plan(p, p.total, network, rng).empty()) unroutable.push_back(p);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Payment& p = unroutable[i++ % unroutable.size()];
+    benchmark::DoNotOptimize(router.plan(p, p.total, network, rng));
+  }
+  state.counters["zero_weight_pairs"] = router.zero_weight_pairs();
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_LpRouterPlanUnroutable);
 
 // ---------------------------------------------------------------------------
 // Generation-delta guardrail: churn-aware CandidatePaths lookups vs the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 namespace spider {
 
@@ -15,7 +16,11 @@ void LpRouter::init(const Network& network,
                     const RouterInitContext& context) {
   SPIDER_ASSERT_MSG(context.demand_hint != nullptr,
                     "Spider (LP) needs a demand matrix estimate");
-  pair_plans_.clear();
+  row_.clear();
+  dst_.clear();
+  spans_.clear();
+  paths_.clear();
+  weights_.clear();
   fluid_throughput_ = 0.0;
 
   PaymentGraph demands = *context.demand_hint;
@@ -47,65 +52,91 @@ void LpRouter::init(const Network& network,
   zero_weight_pairs_ = 0;
 
   constexpr double kEps = 1e-9;
+  struct Routable {
+    NodeId src;
+    NodeId dst;
+    std::size_t pair;
+    double total;
+  };
+  std::vector<Routable> routable;
   for (std::size_t pi = 0; pi < lp.pairs().size(); ++pi) {
     const PairPaths& pp = lp.pairs()[pi];
-    const std::vector<double>& rates = solution.path_rates[pi];
     double total = 0;
-    for (double r : rates) total += r;
-    PairPlan plan;
-    plan.paths = pp.paths;
+    for (double r : solution.path_rates[pi]) total += r;
     if (total > kEps) {
-      plan.weights.reserve(rates.size());
-      for (double r : rates) plan.weights.push_back(r / total);
+      routable.push_back(Routable{pp.src, pp.dst, pi, total});
     } else {
       ++zero_weight_pairs_;
     }
-    pair_plans_[{pp.src, pp.dst}] = std::move(plan);
   }
+  std::sort(routable.begin(), routable.end(),
+            [](const Routable& a, const Routable& b) {
+              return std::tie(a.src, a.dst) < std::tie(b.src, b.dst);
+            });
+
+  const auto num_nodes = static_cast<std::size_t>(network.graph().num_nodes());
+  row_.assign(num_nodes + 1, 0);
+  for (const Routable& r : routable) {
+    ++row_[static_cast<std::size_t>(r.src) + 1];
+    const std::vector<Path>& paths = lp.pairs()[r.pair].paths;
+    const std::vector<double>& rates = solution.path_rates[r.pair];
+    SPIDER_ASSERT(rates.size() == paths.size());
+    dst_.push_back(r.dst);
+    spans_.push_back(PlanSpan{static_cast<std::uint32_t>(paths_.size()),
+                              static_cast<std::uint32_t>(paths.size())});
+    paths_.insert(paths_.end(), paths.begin(), paths.end());
+    for (double rate : rates) weights_.push_back(rate / r.total);
+  }
+  for (std::size_t v = 0; v < num_nodes; ++v) row_[v + 1] += row_[v];
 }
 
 std::vector<ChunkPlan> LpRouter::plan(const Payment& payment, Amount amount,
                                       const Network& network, Rng&) {
-  const auto it = pair_plans_.find({payment.src, payment.dst});
-  // Unknown pair, or a pair the LP zeroed out: never attempted (§6.2).
-  if (it == pair_plans_.end() || it->second.weights.empty()) return {};
-  const PairPlan& pair_plan = it->second;
+  // Unknown pair, or a pair the LP zeroed out: absent from the table, so
+  // never attempted (§6.2).
+  const auto src = static_cast<std::size_t>(payment.src);
+  if (payment.src < 0 || src + 1 >= row_.size()) return {};
+  const auto row_begin = dst_.begin() + row_[src];
+  const auto row_end = dst_.begin() + row_[src + 1];
+  const auto it = std::lower_bound(row_begin, row_end, payment.dst);
+  if (it == row_end || *it != payment.dst) return {};
+  const PlanSpan span = spans_[static_cast<std::size_t>(it - dst_.begin())];
+  const Path* paths = paths_.data() + span.first;
+  const double* weights = weights_.data() + span.first;
 
   // Apportion `amount` by weight (largest-remainder rounding), then cap each
   // share by the current joint bottleneck of its path.
-  const std::size_t n = pair_plan.paths.size();
-  std::vector<Amount> share(n, 0);
+  const std::size_t n = span.count;
+  share_.assign(n, 0);
+  fractions_.clear();
   Amount assigned = 0;
-  std::vector<std::pair<double, std::size_t>> fractions;
   for (std::size_t i = 0; i < n; ++i) {
-    const double exact =
-        static_cast<double>(amount) * pair_plan.weights[i];
-    share[i] = static_cast<Amount>(std::floor(exact));
-    assigned += share[i];
-    fractions.push_back({exact - std::floor(exact), i});
+    const double exact = static_cast<double>(amount) * weights[i];
+    share_[i] = static_cast<Amount>(std::floor(exact));
+    assigned += share_[i];
+    fractions_.push_back({exact - std::floor(exact), i});
   }
-  std::sort(fractions.begin(), fractions.end(),
+  std::sort(fractions_.begin(), fractions_.end(),
             [](const auto& a, const auto& b) {
               if (a.first != b.first) return a.first > b.first;
               return a.second < b.second;
             });
-  for (std::size_t j = 0; assigned < amount && j < fractions.size(); ++j) {
-    ++share[fractions[j].second];
+  for (std::size_t j = 0; assigned < amount && j < fractions_.size(); ++j) {
+    ++share_[fractions_[j].second];
     ++assigned;
   }
 
   virtual_balances_.attach(network);
   std::vector<ChunkPlan> chunks;
   for (std::size_t i = 0; i < n; ++i) {
-    if (share[i] <= 0) continue;
+    if (share_[i] <= 0) continue;
     const Amount sendable =
-        std::min(share[i], virtual_balances_.path_bottleneck(
-                               pair_plan.paths[i]));
+        std::min(share_[i], virtual_balances_.path_bottleneck(paths[i]));
     if (sendable <= 0) continue;
-    virtual_balances_.use(pair_plan.paths[i], sendable);
-    // pair_plans_ map storage is stable until the next init(): the pointer
-    // outlives the simulator's immediate consumption of the plan.
-    chunks.push_back(ChunkPlan{&pair_plan.paths[i], sendable});
+    virtual_balances_.use(paths[i], sendable);
+    // paths_ is stable until the next init(): the pointer outlives the
+    // simulator's immediate consumption of the plan.
+    chunks.push_back(ChunkPlan{&paths[i], sendable});
   }
   return chunks;
 }

@@ -11,8 +11,10 @@
 //     the demand, success volume pins near the circulation fraction.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "fluid/routing_lp.hpp"
 #include "routing/path_cache.hpp"
@@ -63,15 +65,28 @@ class LpRouter final : public Router {
   [[nodiscard]] int zero_weight_pairs() const { return zero_weight_pairs_; }
 
  private:
-  struct PairPlan {
-    std::vector<Path> paths;
-    std::vector<double> weights;  // normalized; empty if total rate == 0
+  // Routable pairs as a CSR table, rebuilt from scratch by every init():
+  // row_[src] .. row_[src + 1] indexes `dst_` (ascending) and the parallel
+  // `spans_`, and span s covers paths_[s.first .. s.first + s.count) with
+  // their normalized weights at the same positions in `weights_`. A pair
+  // the LP zeroed out, or never modelled, is simply absent. plan() hands
+  // out pointers into paths_; they stay valid until the next init().
+  struct PlanSpan {
+    std::uint32_t first = 0;
+    std::uint32_t count = 0;
   };
 
   int num_paths_;
   int max_pairs_;
   LpObjective objective_;
-  std::map<std::pair<NodeId, NodeId>, PairPlan> pair_plans_;
+  std::vector<std::uint32_t> row_;  // num_nodes + 1 offsets into dst_
+  std::vector<NodeId> dst_;
+  std::vector<PlanSpan> spans_;
+  std::vector<Path> paths_;
+  std::vector<double> weights_;
+  // plan() scratch: largest-remainder shares, reused across calls.
+  std::vector<Amount> share_;
+  std::vector<std::pair<double, std::size_t>> fractions_;
   VirtualBalances virtual_balances_;  // reattached per plan(); O(1) reset
   double fluid_throughput_ = 0.0;
   double fair_fraction_ = 0.0;

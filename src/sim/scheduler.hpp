@@ -7,6 +7,8 @@
 // class discussion in §4.2.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -18,13 +20,41 @@ enum class SchedulerPolicy { kFifo, kLifo, kSrpt, kEdf };
 
 [[nodiscard]] std::string scheduler_policy_name(SchedulerPolicy policy);
 
-/// Orders `pending` (indices into `payments`) for the next service round:
-///   SRPT — increasing remaining amount;  FIFO — increasing arrival;
-///   LIFO — decreasing arrival;           EDF  — increasing deadline.
-/// All ties break by arrival time then payment id, so runs are
-/// deterministic.
+/// Key of a pending entry that has not been ordered yet.
+inline constexpr std::int64_t kNeverOrdered =
+    std::numeric_limits<std::int64_t>::min();
+
+/// One slot of the simulator's pending queue: a payment index and the key
+/// it was last ordered by.
+struct PendingEntry {
+  std::size_t index = 0;
+  std::int64_t key = kNeverOrdered;
+};
+
+/// Orders `pending` for the next service round, incrementally, by
+/// (key, arrival, payment id), where the key is
+///   SRPT — remaining amount;  FIFO — arrival;
+///   LIFO — negated arrival;   EDF  — deadline.
+/// That is a strict total order, so every run is deterministic.
+///
+/// Contract: every entry whose key is not kNeverOrdered must hold the key it
+/// was given by an earlier order_pending call, and those entries must still
+/// stand in the relative order that call left them in (removing entries or
+/// appending new kNeverOrdered ones keeps this). Then the entries whose
+/// recomputed key still equals the stored one form an already-sorted run,
+/// because arrival and id never change; only the other entries are sorted
+/// (in `scratch`, reused across calls) and merged into that run. Afterwards
+/// `pending` holds the full (key, arrival, id) order with fresh keys — the
+/// same order a from-scratch sort gives.
+void order_pending(SchedulerPolicy policy,
+                   const std::vector<Payment>& payments,
+                   std::vector<PendingEntry>& pending,
+                   std::vector<PendingEntry>& scratch);
+
+/// Orders `pending` (indices into `payments`) from scratch: order_pending
+/// with every entry unordered.
 [[nodiscard]] std::vector<std::size_t> schedule_order(
     SchedulerPolicy policy, const std::vector<Payment>& payments,
-    std::vector<std::size_t> pending);
+    const std::vector<std::size_t>& pending);
 
 }  // namespace spider

@@ -236,8 +236,8 @@ void Simulator::open_shard_window(TimePoint end) {
   // want is snapshotted at window start; a settle/refund that changes it
   // before the poll simply fails the consume-time validation.
   if (poll_scheduled_) {
-    for (const std::size_t pi : pending_) {
-      const Payment& p = payments_[pi];
+    for (const PendingEntry& entry : pending_) {
+      const Payment& p = payments_[entry.index];
       if (p.status != PaymentStatus::kPending) continue;
       const Amount want = p.remaining();
       if (want <= 0) continue;
@@ -348,7 +348,7 @@ void Simulator::ensure_pending(std::size_t payment_index) {
   if (payments_[payment_index].status != PaymentStatus::kPending) return;
   if (in_pending_[payment_index]) return;
   in_pending_[payment_index] = 1;
-  pending_.push_back(payment_index);
+  pending_.push_back(PendingEntry{payment_index, kNeverOrdered});
   if (!poll_scheduled_) {
     push_event(now() + config_.poll_interval, EventKind::kPoll, 0);
     poll_scheduled_ = true;
@@ -928,7 +928,8 @@ void Simulator::handle_transport_pace() {
   // which payment wins contention at a poll.
   std::size_t write = 0;
   for (std::size_t read = 0; read < pending_.size(); ++read) {
-    const std::size_t pi = pending_[read];
+    const PendingEntry entry = pending_[read];
+    const std::size_t pi = entry.index;
     Payment& p = payments_[pi];
     if (p.status != PaymentStatus::kPending) {
       in_pending_[pi] = 0;
@@ -940,7 +941,7 @@ void Simulator::handle_transport_pace() {
         p.status == PaymentStatus::kPending &&
         (p.remaining() > 0 || p.inflight > 0);
     if (unfinished_business) {
-      pending_[write++] = pi;
+      pending_[write++] = entry;
     } else {
       in_pending_[pi] = 0;
     }
@@ -1284,27 +1285,28 @@ void Simulator::handle_poll() {
   router_->on_tick(*network_, now());
 
   // Expire overdue payments first (compacting the survivors in place), then
-  // serve the rest in policy order. The pending array is compacted and
-  // sorted in place and moved through schedule_order, so steady-state
-  // polling never reallocates.
+  // serve the rest in policy order. Compaction keeps the entries' relative
+  // order, so order_pending only sorts the entries whose key moved since
+  // the last poll (and new ones) and merges them in; steady-state polling
+  // never reallocates.
   std::size_t write = 0;
-  for (std::size_t pi : pending_) {
-    Payment& p = payments_[pi];
-    in_pending_[pi] = 0;
+  for (const PendingEntry& entry : pending_) {
+    Payment& p = payments_[entry.index];
+    in_pending_[entry.index] = 0;
     if (p.status != PaymentStatus::kPending) continue;  // completed meanwhile
     if (now() >= p.deadline) {
-      expire(pi);
+      expire(entry.index);
       continue;
     }
-    pending_[write++] = pi;
+    pending_[write++] = entry;
   }
   pending_.resize(write);
-  pending_ = schedule_order(config_.scheduler, payments_,
-                            std::move(pending_));
+  order_pending(config_.scheduler, payments_, pending_, order_scratch_);
 
   write = 0;
   for (std::size_t read = 0; read < pending_.size(); ++read) {
-    const std::size_t pi = pending_[read];
+    const PendingEntry entry = pending_[read];
+    const std::size_t pi = entry.index;
     Payment& p = payments_[pi];
     if (p.status != PaymentStatus::kPending) continue;
     if (p.remaining() > 0) {
@@ -1323,7 +1325,7 @@ void Simulator::handle_poll() {
         p.status == PaymentStatus::kPending &&
         (p.remaining() > 0 || p.inflight > 0);
     if (unfinished_business) {
-      pending_[write++] = pi;
+      pending_[write++] = entry;
       in_pending_[pi] = 1;
     }
   }

@@ -461,8 +461,11 @@ class Simulator {
   bool tail_emitted_ = false;       // current tail snapshot already emitted
 
   std::vector<Payment> payments_;
-  std::vector<std::size_t> pending_;  // payment indices with remaining > 0
-  std::vector<char> in_pending_;      // membership flags for pending_
+  // Payments with remaining > 0, each with the key it was last ordered by
+  // (see order_pending); order_scratch_ is that call's reused buffer.
+  std::vector<PendingEntry> pending_;
+  std::vector<PendingEntry> order_scratch_;
+  std::vector<char> in_pending_;  // membership flags for pending_
   std::vector<InflightChunk> inflight_;
   std::vector<std::size_t> free_chunks_;
   std::uint64_t next_stamp_ = 1;

@@ -249,6 +249,137 @@ TEST(LpRouterTest, UnknownPairPlansNothing) {
       router.plan(make_payment(1, 2, xrp(1)), xrp(1), net, rng).empty());
 }
 
+TEST(LpRouterTest, ReinitDropsPairsOnlyTheFirstMatrixHad) {
+  const Graph g = diamond(xrp(10));
+  Network net(g);
+  PaymentGraph both(4);
+  both.add_demand(0, 3, 1.0);
+  both.add_demand(3, 0, 1.0);
+  both.add_demand(1, 2, 1.0);
+  both.add_demand(2, 1, 1.0);
+  RouterInitContext context;
+  context.demand_hint = &both;
+  LpRouter router(4);
+  router.init(net, context);
+  Rng rng(1);
+  const auto plans = [&](NodeId src, NodeId dst) {
+    return !router.plan(make_payment(src, dst, xrp(1)), xrp(1), net, rng)
+                .empty();
+  };
+  ASSERT_TRUE(plans(0, 3));
+  ASSERT_TRUE(plans(1, 2));
+
+  PaymentGraph smaller(4);
+  smaller.add_demand(1, 2, 1.0);
+  smaller.add_demand(2, 1, 1.0);
+  context.demand_hint = &smaller;
+  router.init(net, context);
+  EXPECT_FALSE(plans(0, 3));
+  EXPECT_FALSE(plans(3, 0));
+  EXPECT_TRUE(plans(1, 2));
+  EXPECT_TRUE(plans(2, 1));
+}
+
+TEST(LpRouterTest, RowBoundariesPlanNothing) {
+  // Routable pairs 0<->1 and 2<->3; node 4 (the highest id) has none.
+  const Graph g = line_topology(5, xrp(10));
+  Network net(g);
+  PaymentGraph demands(5);
+  demands.add_demand(0, 1, 1.0);
+  demands.add_demand(1, 0, 1.0);
+  demands.add_demand(2, 3, 1.0);
+  demands.add_demand(3, 2, 1.0);
+  RouterInitContext context;
+  context.demand_hint = &demands;
+  LpRouter router(4);
+  router.init(net, context);
+  Rng rng(1);
+  const auto plans = [&](NodeId src, NodeId dst) {
+    return !router.plan(make_payment(src, dst, xrp(1)), xrp(1), net, rng)
+                .empty();
+  };
+  EXPECT_TRUE(plans(1, 0));
+  EXPECT_TRUE(plans(3, 2));
+  EXPECT_FALSE(plans(4, 3));  // last row, empty
+  EXPECT_FALSE(plans(4, 0));
+  // Source 1's only routable dst is 0; dst 3 sits in the next row (2 -> 3).
+  EXPECT_FALSE(plans(1, 3));
+  EXPECT_FALSE(plans(1, 2));
+  EXPECT_FALSE(plans(3, 4));  // above every dst of source 3
+}
+
+TEST(LpRouterTest, BackToBackPlansMatch) {
+  // Uneven paths (10 vs 4 XRP) under saturating demand give fractional
+  // weights, so largest-remainder rounding decides the last units. Plans
+  // interleaved with other pairs and amounts must match a fresh router's:
+  // the scratch buffers carry nothing from one plan() to the next.
+  Graph g(4);
+  g.add_edge(0, 1, xrp(10));
+  g.add_edge(1, 3, xrp(10));
+  g.add_edge(0, 2, xrp(4));
+  g.add_edge(2, 3, xrp(4));
+  Network net(g);
+  PaymentGraph demands(4);
+  demands.add_demand(0, 3, 100.0);
+  demands.add_demand(3, 0, 100.0);
+  demands.add_demand(1, 2, 3.0);
+  demands.add_demand(2, 1, 3.0);
+  RouterInitContext context;
+  context.demand_hint = &demands;
+  LpRouter router(4);
+  router.init(net, context);
+  Rng rng(1);
+  bool split = false;
+  for (Amount k = 0; k < 40; ++k) {
+    const Payment wide = make_payment(0, 3, xrp(1) + 37 * k);
+    const Payment other = make_payment(k % 2 == 0 ? 1 : 2, k % 2 == 0 ? 2 : 1,
+                                       xrp(1) + 53 * k);
+    const auto first = router.plan(wide, wide.total, net, rng);
+    (void)router.plan(other, other.total, net, rng);
+    const auto second = router.plan(wide, wide.total, net, rng);
+    LpRouter fresh(4);
+    fresh.init(net, context);
+    const auto expected = fresh.plan(wide, wide.total, net, rng);
+    ASSERT_EQ(first.size(), expected.size()) << "k " << k;
+    ASSERT_EQ(second.size(), expected.size()) << "k " << k;
+    Amount total = 0;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(first[i].amount, expected[i].amount) << "k " << k;
+      EXPECT_EQ(second[i].amount, expected[i].amount) << "k " << k;
+      EXPECT_EQ(first[i].path, second[i].path);
+      EXPECT_EQ(first[i].path->nodes, expected[i].path->nodes);
+      total += first[i].amount;
+    }
+    EXPECT_EQ(total, wide.total);
+    split = split || expected.size() > 1;
+  }
+  EXPECT_TRUE(split);  // the pair really spreads over several paths
+}
+
+TEST(LpRouterTest, ZeroWeightPairsCountsAbsentPairs) {
+  const Graph g = line_topology(3, xrp(10));
+  Network net(g);
+  PaymentGraph demands(3);
+  demands.add_demand(0, 1, 1.0);
+  demands.add_demand(1, 0, 1.0);
+  demands.add_demand(1, 2, 1.0);  // one-way: the balanced LP zeroes it
+  RouterInitContext context;
+  context.demand_hint = &demands;
+  LpRouter router(4);
+  router.init(net, context);
+  EXPECT_EQ(router.zero_weight_pairs(), 1);
+  Rng rng(1);
+  EXPECT_TRUE(
+      router.plan(make_payment(1, 2, xrp(1)), xrp(1), net, rng).empty());
+
+  PaymentGraph circulation(3);
+  circulation.add_demand(0, 1, 1.0);
+  circulation.add_demand(1, 0, 1.0);
+  context.demand_hint = &circulation;
+  router.init(net, context);
+  EXPECT_EQ(router.zero_weight_pairs(), 0);
+}
+
 // ---- Max-flow ----
 
 TEST(MaxFlowRouterTest, UsesMultiplePathsWhereOneIsTooThin) {
