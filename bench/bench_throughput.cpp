@@ -594,26 +594,18 @@ ThroughputRow measure_row(const SpiderNetwork& net,
                           double warm_s) {
   const double window_s = env_double("SPIDER_BENCH_WINDOW_S", 2.0);
   const Duration warmup = seconds(env_double("SPIDER_BENCH_WARMUP_S", 2.0));
-  const std::vector<TopologyChange>* churn =
-      scenario.churn.empty() ? nullptr : &scenario.churn;
-  const std::vector<FaultEvent>* faults =
-      scenario.faults.empty() ? nullptr : &scenario.faults;
+  const std::uint64_t seed = net.config().sim.seed;
   WindowedRun windowed;
   const auto start = Clock::now();
   SimMetrics m;
   if (window_s > 0) {
-    windowed = run_windowed(net, scheme, net.config().sim.seed,
-                            scenario.trace, seconds(window_s), warmup, churn,
-                            faults);
+    windowed = run_windowed(net, scheme, seed, scenario.trace,
+                            seconds(window_s), warmup, scenario.churn,
+                            scenario.faults);
     m = windowed.metrics;
-  } else if (faults != nullptr) {
-    m = net.run(scheme, scenario.trace, net.config().sim.seed,
-                churn != nullptr ? *churn : std::vector<TopologyChange>{},
-                *faults);
-  } else if (churn != nullptr) {
-    m = net.run(scheme, scenario.trace, net.config().sim.seed, *churn);
   } else {
-    m = net.run(scheme, scenario.trace);
+    m = net.run(scheme, scenario.trace, seed, scenario.churn,
+                scenario.faults);
   }
   const double wall = seconds_since(start);
   ThroughputRow row;

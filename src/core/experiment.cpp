@@ -15,8 +15,8 @@ WindowedRun run_windowed(const SpiderNetwork& network, Scheme scheme,
                          std::uint64_t seed,
                          const std::vector<PaymentSpec>& trace,
                          Duration metrics_window, Duration warmup,
-                         const std::vector<TopologyChange>* churn,
-                         const std::vector<FaultEvent>* faults) {
+                         const std::vector<TopologyChange>& churn,
+                         const std::vector<FaultEvent>& faults) {
   SPIDER_ASSERT(metrics_window > 0);
   SessionOptions options;
   options.metrics_window = metrics_window;
@@ -24,8 +24,9 @@ WindowedRun run_windowed(const SpiderNetwork& network, Scheme scheme,
   SimSession session = network.session(scheme, seed, options);
   WindowedMetrics windowed(warmup);
   session.attach(windowed);
-  if (churn != nullptr) session.submit_topology(*churn);
-  if (faults != nullptr) session.submit_faults(*faults);
+  // The canonical order of SpiderNetwork::run.
+  session.submit_topology(churn);
+  session.submit_faults(faults);
   session.submit(trace);
   WindowedRun run;
   run.metrics = session.drain();

@@ -30,24 +30,17 @@ struct WindowedRun {
   WindowedMetrics::SteadyState steady;
 };
 
-/// Runs `scheme` over `trace` through a session with a WindowedMetrics
-/// observer attached (demand hint = the trace). The metrics are
-/// byte-identical to SpiderNetwork::run(scheme, trace, seed); the windows
-/// and steady-state aggregate ride along. The single implementation behind
-/// every windowed surface (run_grid, run_schemes, bench_throughput), so
-/// the session wiring cannot drift between them. A non-null `churn` is
-/// submitted before the trace, and a non-null `faults` between churn and
-/// trace (the canonical churn-then-faults-then-payments order of
-/// SpiderNetwork::run's fault overload).
-[[nodiscard]] WindowedRun run_windowed(const SpiderNetwork& network,
-                                       Scheme scheme, std::uint64_t seed,
-                                       const std::vector<PaymentSpec>& trace,
-                                       Duration metrics_window,
-                                       Duration warmup,
-                                       const std::vector<TopologyChange>*
-                                           churn = nullptr,
-                                       const std::vector<FaultEvent>*
-                                           faults = nullptr);
+/// SpiderNetwork::run(scheme, trace, seed, churn, faults) through a
+/// session with a WindowedMetrics observer attached: the metrics are
+/// byte-identical to run()'s, and the windows and steady-state aggregate
+/// ride along. The single implementation behind every windowed surface
+/// (run_grid, run_schemes, bench_throughput), so the session wiring cannot
+/// drift between them.
+[[nodiscard]] WindowedRun run_windowed(
+    const SpiderNetwork& network, Scheme scheme, std::uint64_t seed,
+    const std::vector<PaymentSpec>& trace, Duration metrics_window,
+    Duration warmup, const std::vector<TopologyChange>& churn = {},
+    const std::vector<FaultEvent>& faults = {});
 
 /// Runs every scheme in `schemes` over the same trace on fresh copies of the
 /// network. Logs progress at info level.

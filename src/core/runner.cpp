@@ -137,38 +137,21 @@ std::vector<CellResult> ExperimentRunner::run_grid(
     CellResult& result = results[i];
     result.cell = cell;
     result.scenario = scenario.name;
-    // Scenarios that declare churn route every cell through the
-    // churn-aware run surface (churn submitted before payments — the
-    // canonical order), and adversarial scenarios likewise submit their
-    // fault stream between churn and payments; static scenarios take the
-    // exact pre-churn path.
-    const std::vector<TopologyChange>* churn =
-        scenario.churn.empty() ? nullptr : &scenario.churn;
-    const std::vector<FaultEvent>* faults =
-        scenario.faults.empty() ? nullptr : &scenario.faults;
+    const SpiderNetwork& network = networks[cell.scenario_index];
     if (options.metrics_window > 0) {
       // Windowed cell: same run, driven through a session so a
       // WindowedMetrics observer can collect the time series. The final
       // metrics stay byte-identical to the unwindowed run().
-      WindowedRun run =
-          run_windowed(networks[cell.scenario_index], cell.scheme,
-                       cell.seed, scenario.trace, options.metrics_window,
-                       options.warmup, churn, faults);
+      WindowedRun run = run_windowed(network, cell.scheme, cell.seed,
+                                     scenario.trace, options.metrics_window,
+                                     options.warmup, scenario.churn,
+                                     scenario.faults);
       result.metrics = run.metrics;
       result.windows = std::move(run.windows);
       result.steady = run.steady;
-    } else if (faults != nullptr) {
-      result.metrics = networks[cell.scenario_index].run(
-          cell.scheme, scenario.trace, cell.seed,
-          churn != nullptr ? *churn : std::vector<TopologyChange>{},
-          *faults);
-    } else if (churn != nullptr) {
-      result.metrics = networks[cell.scenario_index].run(
-          cell.scheme, scenario.trace, cell.seed, *churn);
     } else {
-      result.metrics =
-          networks[cell.scenario_index].run(cell.scheme, scenario.trace,
-                                            cell.seed);
+      result.metrics = network.run(cell.scheme, scenario.trace, cell.seed,
+                                   scenario.churn, scenario.faults);
     }
   };
   for_each(cells.size(), run_cell, cell_cap);

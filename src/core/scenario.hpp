@@ -81,13 +81,10 @@ struct ScenarioParams {
 };
 
 /// A fully materialized scenario: what the runner executes a scheme over.
-/// A non-empty `churn` stream makes every surface that consumes the
-/// scenario (runner grids, benches) run it as a dynamic-topology scenario:
-/// churn is submitted before the payments, interleaving deterministically
-/// through the shared event queue. A non-empty `faults` stream likewise
-/// makes it an adversarial scenario: faults are submitted after churn and
-/// before the payments (the canonical order of SpiderNetwork::run's fault
-/// overload).
+/// Every surface that consumes it (runner grids, benches) hands `churn`
+/// and `faults` to SpiderNetwork::run or run_windowed with the trace, so a
+/// non-empty stream makes it a dynamic-topology or adversarial scenario
+/// and empty ones schedule nothing.
 struct ScenarioInstance {
   std::string name;
   Graph graph;

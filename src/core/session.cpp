@@ -19,6 +19,30 @@ SpiderConfig apply_transport_defaults(SpiderConfig config, Scheme scheme) {
   return config;
 }
 
+/// Validate-then-commit for one input stream: the whole span is checked
+/// before anything is appended, so a rejected span leaves the stream
+/// exactly as it was (no half-committed prefix whose events were never
+/// scheduled). Then `extended` tells the simulator the stream grew.
+template <typename T>
+void submit_stream(Simulator& sim, std::vector<T>& stream, const T* entries,
+                   std::size_t count, TimePoint T::*time,
+                   void (Simulator::*extended)()) {
+  if (count == 0) return;
+  TimePoint last = stream.empty() ? sim.horizon() : stream.back().*time;
+  for (std::size_t i = 0; i < count; ++i) {
+    // horizon(), not now(): advance_until declares time passed (and rolls
+    // metric windows) up to its horizon, so entries before it would land
+    // in windows already emitted.
+    SPIDER_ASSERT_MSG(entries[i].*time >= sim.horizon(),
+                      "submitted input lies in the clock's past");
+    SPIDER_ASSERT_MSG(entries[i].*time >= last,
+                      "submissions must be in nondecreasing time order");
+    last = entries[i].*time;
+  }
+  stream.insert(stream.end(), entries, entries + count);
+  (sim.*extended)();
+}
+
 }  // namespace
 
 struct SimSession::State {
@@ -27,18 +51,16 @@ struct SimSession::State {
   Network network;
   std::unique_ptr<Router> router;
   Simulator sim;
-  // The trace buffer the simulator's arrival chain reads. Appended to by
-  // submit(); release_replayed() may erase a fully-consumed prefix (the
-  // simulator rebases via trace_released). The vector object itself stays
-  // put (the simulator holds a pointer to it, not into it).
+  // The three input streams the simulator's chains read (submit_stream
+  // appends; the vector objects stay put, since the simulator holds
+  // pointers to them). release_replayed() may erase a fully-consumed
+  // prefix of `trace` (the simulator rebases via trace_released).
   std::vector<PaymentSpec> trace;
+  std::vector<TopologyChange> churn;
+  std::vector<FaultEvent> faults;
   // Lifetime submission count — trace.size() no longer is one once a
   // replay starts releasing consumed entries.
   std::size_t submitted_total = 0;
-  // The growing topology-change stream, same contract as `trace`.
-  std::vector<TopologyChange> churn;
-  // The growing fault-event stream, same contract as `churn`.
-  std::vector<FaultEvent> faults;
   // Sharded-engine runtime (config.shards > 1 only). Declared after the
   // members it observes and destroyed first, so its worker threads are
   // joined while the network/simulator they reference still exist.
@@ -81,26 +103,10 @@ SimSession& SimSession::operator=(SimSession&&) noexcept = default;
 void SimSession::submit(const PaymentSpec& spec) { submit(&spec, 1); }
 
 void SimSession::submit(const PaymentSpec* specs, std::size_t count) {
-  if (count == 0) return;
   State& s = *state_;
-  // Validate the whole span before mutating anything, so a rejected span
-  // leaves the session exactly as it was (no half-committed prefix whose
-  // arrivals were never scheduled).
-  TimePoint last =
-      s.trace.empty() ? s.sim.horizon() : s.trace.back().arrival;
-  for (std::size_t i = 0; i < count; ++i) {
-    // horizon(), not now(): advance_until declares time passed (and rolls
-    // metric windows) up to its horizon, so arrivals before it would land
-    // in windows already emitted.
-    SPIDER_ASSERT_MSG(specs[i].arrival >= s.sim.horizon(),
-                      "submitted payment arrives in the clock's past");
-    SPIDER_ASSERT_MSG(specs[i].arrival >= last,
-                      "submissions must be in nondecreasing arrival order");
-    last = specs[i].arrival;
-  }
-  s.trace.insert(s.trace.end(), specs, specs + count);
+  submit_stream(s.sim, s.trace, specs, count, &PaymentSpec::arrival,
+                &Simulator::trace_extended);
   s.submitted_total += count;
-  s.sim.trace_extended();
 }
 
 void SimSession::submit(const std::vector<PaymentSpec>& specs) {
@@ -113,20 +119,9 @@ void SimSession::submit_topology(const TopologyChange& change) {
 
 void SimSession::submit_topology(const TopologyChange* changes,
                                  std::size_t count) {
-  if (count == 0) return;
   State& s = *state_;
-  // Same validate-then-commit discipline as submit(): a rejected span
-  // leaves the churn stream exactly as it was.
-  TimePoint last = s.churn.empty() ? s.sim.horizon() : s.churn.back().at;
-  for (std::size_t i = 0; i < count; ++i) {
-    SPIDER_ASSERT_MSG(changes[i].at >= s.sim.horizon(),
-                      "submitted topology change occurs in the clock's past");
-    SPIDER_ASSERT_MSG(changes[i].at >= last,
-                      "topology changes must be in nondecreasing time order");
-    last = changes[i].at;
-  }
-  s.churn.insert(s.churn.end(), changes, changes + count);
-  s.sim.topology_extended();
+  submit_stream(s.sim, s.churn, changes, count, &TopologyChange::at,
+                &Simulator::topology_extended);
 }
 
 void SimSession::submit_topology(const std::vector<TopologyChange>& changes) {
@@ -138,20 +133,9 @@ void SimSession::submit_faults(const FaultEvent& fault) {
 }
 
 void SimSession::submit_faults(const FaultEvent* faults, std::size_t count) {
-  if (count == 0) return;
   State& s = *state_;
-  // Same validate-then-commit discipline as submit_topology(): a rejected
-  // span leaves the fault stream exactly as it was.
-  TimePoint last = s.faults.empty() ? s.sim.horizon() : s.faults.back().at;
-  for (std::size_t i = 0; i < count; ++i) {
-    SPIDER_ASSERT_MSG(faults[i].at >= s.sim.horizon(),
-                      "submitted fault occurs in the clock's past");
-    SPIDER_ASSERT_MSG(faults[i].at >= last,
-                      "faults must be in nondecreasing time order");
-    last = faults[i].at;
-  }
-  s.faults.insert(s.faults.end(), faults, faults + count);
-  s.sim.faults_extended();
+  submit_stream(s.sim, s.faults, faults, count, &FaultEvent::at,
+                &Simulator::faults_extended);
 }
 
 void SimSession::submit_faults(const std::vector<FaultEvent>& faults) {

@@ -23,14 +23,12 @@
 // be submitted before the clock passes its arrival time.
 //
 // Dynamic scenarios (mid-run rate shifts, flash crowds) are plain
-// submission patterns. Topology churn — channels opening, closing, being
-// re-funded — is submitted through submit_topology(), mirroring the
-// payment-submission API: changes are scheduled through the same
-// (time, seq) event queue, so churn interleaves with payments in one
-// reproducible total order. Ad-hoc mutations through the mutable
-// network() accessor remain possible between advances; every such access
-// bumps the network's topology generation so routers refresh exactly as
-// they do for scheduled churn (see the accessor's comment).
+// submission patterns; topology churn and faults are two more input
+// streams with the payments' contract (DESIGN.md "Input chains"). Ad-hoc
+// mutations through the mutable network() accessor remain possible
+// between advances; every such access bumps the network's topology
+// generation so routers refresh exactly as they do for scheduled churn
+// (see the accessor's comment).
 #pragma once
 
 #include <cstddef>
@@ -68,32 +66,20 @@ class SimSession {
   SimSession(const SimSession&) = delete;
   SimSession& operator=(const SimSession&) = delete;
 
-  /// Submits payments for simulation. Arrivals must be nondecreasing
-  /// across ALL submissions and must not lie in the clock's past — the
-  /// ordering that makes online submission replay the batch event order.
+  /// Submits payments, topology changes (channel open / close / deposit)
+  /// or fault events (node crash / stall / recover, channel loss / settle
+  /// delay, griefing): one input stream each, one contract. Times must be
+  /// nondecreasing across ALL submissions to the stream and must not lie
+  /// in the clock's past; a span that breaks either rule throws and leaves
+  /// the stream untouched. Each entry dispatches at its timestamp through
+  /// the shared event queue (on_topology_change / on_fault fire as changes
+  /// and faults apply); a stream never submitted to schedules nothing.
   void submit(const PaymentSpec& spec);
   void submit(const PaymentSpec* specs, std::size_t count);
   void submit(const std::vector<PaymentSpec>& specs);
-
-  /// Submits topology changes (channel open / close / deposit) for
-  /// simulation — the churn mirror of submit(): change times must be
-  /// nondecreasing across ALL topology submissions and must not lie in the
-  /// clock's past. Each change dispatches at its timestamp through the
-  /// shared event queue (SimObserver::on_topology_change fires as it
-  /// applies); a session that never submits churn schedules no topology
-  /// events and stays byte-identical to a static run.
   void submit_topology(const TopologyChange& change);
   void submit_topology(const TopologyChange* changes, std::size_t count);
   void submit_topology(const std::vector<TopologyChange>& changes);
-
-  /// Submits fault events (node crash / stall / recover, channel loss /
-  /// settle delay, griefing) for injection — the adversarial mirror of
-  /// submit_topology(): times must be nondecreasing across ALL fault
-  /// submissions and must not lie in the clock's past. Each fault applies
-  /// at its timestamp through the shared event queue
-  /// (SimObserver::on_fault fires as it does); a session that never
-  /// submits faults schedules no fault events and stays byte-identical to
-  /// a fault-free run.
   void submit_faults(const FaultEvent& fault);
   void submit_faults(const FaultEvent* faults, std::size_t count);
   void submit_faults(const std::vector<FaultEvent>& faults);

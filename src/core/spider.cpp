@@ -80,34 +80,9 @@ SimMetrics SpiderNetwork::run(Scheme scheme,
 
 SimMetrics SpiderNetwork::run(Scheme scheme,
                               const std::vector<PaymentSpec>& trace,
-                              std::uint64_t seed) const {
-  SessionOptions options;
-  options.demand_hint = &trace;
-  SimSession batch = session(scheme, seed, options);
-  batch.submit(trace);
-  return batch.drain();
-}
-
-SimMetrics SpiderNetwork::run(Scheme scheme,
-                              const std::vector<PaymentSpec>& trace,
-                              std::uint64_t seed,
-                              const std::vector<TopologyChange>& churn)
-    const {
-  if (churn.empty()) return run(scheme, trace, seed);
-  SessionOptions options;
-  options.demand_hint = &trace;
-  SimSession batch = session(scheme, seed, options);
-  batch.submit_topology(churn);
-  batch.submit(trace);
-  return batch.drain();
-}
-
-SimMetrics SpiderNetwork::run(Scheme scheme,
-                              const std::vector<PaymentSpec>& trace,
                               std::uint64_t seed,
                               const std::vector<TopologyChange>& churn,
                               const std::vector<FaultEvent>& faults) const {
-  if (faults.empty()) return run(scheme, trace, seed, churn);
   SessionOptions options;
   options.demand_hint = &trace;
   SimSession batch = session(scheme, seed, options);

@@ -47,41 +47,18 @@ class SpiderNetwork {
   [[nodiscard]] SimSession session(Scheme scheme) const;
 
   /// Runs `scheme` over `trace` on a fresh network instance — a thin batch
-  /// wrapper over session(): submit the whole trace, drain, return the
-  /// final metrics. Thread-safe: run() shares nothing mutable, so
-  /// independent runs (the ExperimentRunner grid) may execute concurrently
-  /// on one SpiderNetwork.
+  /// wrapper over session(): submit the three input streams in the
+  /// canonical order (DESIGN.md "Input chains"), drain, return the final
+  /// metrics. `seed` replaces the simulation seed — the seed axis of an
+  /// experiment grid (default: the configured one). Thread-safe: run()
+  /// shares nothing mutable, so independent runs (the ExperimentRunner
+  /// grid) may execute concurrently on one SpiderNetwork.
   [[nodiscard]] SimMetrics run(Scheme scheme,
                                const std::vector<PaymentSpec>& trace) const;
-
-  /// Same, but with the simulation seed replaced by `seed` — the seed axis
-  /// of an experiment grid. The trace is unchanged; only the router RNG
-  /// stream (and scheme-internal seeds derived from it) move.
-  [[nodiscard]] SimMetrics run(Scheme scheme,
-                               const std::vector<PaymentSpec>& trace,
-                               std::uint64_t seed) const;
-
-  /// run() under dynamic topology: submits the churn stream first (so a
-  /// change may precede the first arrival), then the whole trace, then
-  /// drains — the canonical submission order every churn-aware surface
-  /// (runner grids, benches, tests) uses, which is what makes
-  /// churn-interleaved runs reproducible. An empty `churn` is exactly the
-  /// plain run().
-  [[nodiscard]] SimMetrics run(Scheme scheme,
-                               const std::vector<PaymentSpec>& trace,
-                               std::uint64_t seed,
-                               const std::vector<TopologyChange>& churn)
-      const;
-
-  /// run() under dynamic topology AND fault injection: churn first, then
-  /// the fault schedule, then the trace — the canonical submission order
-  /// every fault-aware surface (runner grids, benches, tests) uses. Empty
-  /// `churn` and `faults` is exactly the plain run().
-  [[nodiscard]] SimMetrics run(Scheme scheme,
-                               const std::vector<PaymentSpec>& trace,
-                               std::uint64_t seed,
-                               const std::vector<TopologyChange>& churn,
-                               const std::vector<FaultEvent>& faults) const;
+  [[nodiscard]] SimMetrics run(
+      Scheme scheme, const std::vector<PaymentSpec>& trace,
+      std::uint64_t seed, const std::vector<TopologyChange>& churn = {},
+      const std::vector<FaultEvent>& faults = {}) const;
 
   /// ν(C*) / total demand for the trace's estimated demand matrix — the
   /// Prop. 1 ceiling on balanced-routing success volume.

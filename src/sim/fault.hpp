@@ -2,9 +2,9 @@
 //
 // A fault schedule is a time-ordered stream of FaultEvents — node crashes,
 // timed stalls, per-channel message loss, HTLC settle delays, griefing
-// receivers — that the Simulator chains through the shared (time, seq)
-// EventQueue exactly like PR 4's kTopology events: one kFault event is
-// scheduled at a time, and applying event i schedules event i+1. Zero-fault
+// receivers — that the Simulator reads as one of its input chains
+// (DESIGN.md "Input chains"): one kFault event is queued at a time, and
+// applying event i queues event i+1 on the shared EventQueue. Zero-fault
 // runs never allocate or draw anything here, so they stay byte-identical to
 // the pre-fault engine; faulted runs are reproducible at any shard count
 // because every Bernoulli draw happens on the commit thread, in event

@@ -42,6 +42,41 @@ void Simulator::push_event(TimePoint time, EventKind kind, std::size_t index,
   events_.schedule(time, static_cast<int>(kind), index, stamp);
 }
 
+namespace {
+
+TimePoint entry_time(const PaymentSpec& spec) { return spec.arrival; }
+TimePoint entry_time(const TopologyChange& change) { return change.at; }
+TimePoint entry_time(const FaultEvent& fault) { return fault.at; }
+
+}  // namespace
+
+template <typename T>
+void Simulator::arm(InputChain<T>& chain) {
+  if (chain.scheduled || chain.next >= chain.end()) return;
+  const TimePoint at = entry_time(chain.at(chain.next));
+  SPIDER_ASSERT_MSG(at >= now(), "submitted input lies in the clock's past");
+  push_event(at, chain.kind, chain.next);
+  chain.scheduled = true;
+  // The rebalance tick starts (or restarts, for a streaming session whose
+  // arrivals ran dry) alongside the arrival chain; handle_rebalance keeps
+  // it alive while there is work the deposits could help.
+  if (chain.kind == EventKind::kArrival && config_.rebalance_interval > 0 &&
+      config_.rebalance_rate_xrp_per_s > 0 && !rebalance_scheduled_) {
+    push_event(at + config_.rebalance_interval, EventKind::kRebalance, 0);
+    rebalance_scheduled_ = true;
+  }
+}
+
+template <typename T>
+T Simulator::advance(InputChain<T>& chain, std::size_t index) {
+  SPIDER_ASSERT(chain.scheduled && index == chain.next);
+  T entry = chain.at(index);
+  chain.scheduled = false;
+  ++chain.next;
+  arm(chain);
+  return entry;
+}
+
 SimMetrics Simulator::run(const std::vector<PaymentSpec>& trace) {
   begin(trace);
   drain();
@@ -49,7 +84,9 @@ SimMetrics Simulator::run(const std::vector<PaymentSpec>& trace) {
 }
 
 void Simulator::begin(const std::vector<PaymentSpec>& trace) {
-  trace_ = &trace;
+  arrivals_.reset(&trace);
+  churn_.reset(nullptr);
+  fault_events_.reset(nullptr);
   payments_.clear();
   payments_.reserve(trace.size());
   pending_.clear();
@@ -57,14 +94,6 @@ void Simulator::begin(const std::vector<PaymentSpec>& trace) {
   inflight_.clear();
   free_chunks_.clear();
   metrics_ = SimMetrics{};
-  next_arrival_ = 0;
-  trace_base_ = 0;
-  topo_trace_ = nullptr;
-  next_topo_ = 0;
-  topo_scheduled_ = false;
-  fault_trace_ = nullptr;
-  next_fault_ = 0;
-  fault_scheduled_ = false;
   blacklists_.clear();
   faults_.begin(network_->graph().num_nodes(), network_->graph().num_edges(),
                 config_.fault_seed != 0
@@ -72,7 +101,6 @@ void Simulator::begin(const std::vector<PaymentSpec>& trace) {
                     : config_.seed ^ 0xFA017FA017FA017FULL);
   events_.reset();
   poll_scheduled_ = false;
-  arrival_scheduled_ = false;
   rebalance_scheduled_ = false;
   pace_scheduled_ = false;
   queue_wait_samples_.clear();
@@ -96,71 +124,31 @@ void Simulator::begin(const std::vector<PaymentSpec>& trace) {
   // backlog-reading schemes (backpressure) to fall back to whole-path plans.
   router_->bind_transport(queue_bank_active() ? &transport_queues_ : nullptr);
 
-  sync_arrival_chain();
+  arm(arrivals_);
 }
 
-void Simulator::trace_extended() { sync_arrival_chain(); }
+void Simulator::trace_extended() { arm(arrivals_); }
 
 void Simulator::trace_released(std::size_t count) {
   SPIDER_ASSERT_MSG(count <= trace_releasable(),
                     "trace_released: prefix still referenced by the "
                     "arrival chain");
-  trace_base_ += count;
+  arrivals_.base += count;
 }
 
 void Simulator::begin_topology(const std::vector<TopologyChange>& churn) {
-  topo_trace_ = &churn;
-  next_topo_ = 0;
-  topo_scheduled_ = false;
-  sync_topology_chain();
+  churn_.reset(&churn);
+  arm(churn_);
 }
 
-void Simulator::topology_extended() { sync_topology_chain(); }
-
-void Simulator::sync_topology_chain() {
-  if (topo_scheduled_ || topo_trace_ == nullptr) return;
-  if (next_topo_ >= topo_trace_->size()) return;
-  const TimePoint at = (*topo_trace_)[next_topo_].at;
-  SPIDER_ASSERT_MSG(at >= now(),
-                    "submitted topology change occurs in the past");
-  push_event(at, EventKind::kTopology, next_topo_);
-  topo_scheduled_ = true;
-}
+void Simulator::topology_extended() { arm(churn_); }
 
 void Simulator::begin_faults(const std::vector<FaultEvent>& faults) {
-  fault_trace_ = &faults;
-  next_fault_ = 0;
-  fault_scheduled_ = false;
-  sync_fault_chain();
+  fault_events_.reset(&faults);
+  arm(fault_events_);
 }
 
-void Simulator::faults_extended() { sync_fault_chain(); }
-
-void Simulator::sync_fault_chain() {
-  if (fault_scheduled_ || fault_trace_ == nullptr) return;
-  if (next_fault_ >= fault_trace_->size()) return;
-  const TimePoint at = (*fault_trace_)[next_fault_].at;
-  SPIDER_ASSERT_MSG(at >= now(), "submitted fault occurs in the past");
-  push_event(at, EventKind::kFault, next_fault_);
-  fault_scheduled_ = true;
-}
-
-void Simulator::sync_arrival_chain() {
-  if (arrival_scheduled_ || trace_ == nullptr) return;
-  if (next_arrival_ >= trace_base_ + trace_->size()) return;
-  const TimePoint at = (*trace_)[next_arrival_ - trace_base_].arrival;
-  SPIDER_ASSERT_MSG(at >= now(), "submitted payment arrives in the past");
-  push_event(at, EventKind::kArrival, next_arrival_);
-  arrival_scheduled_ = true;
-  // The rebalance tick starts (or restarts, for a streaming session whose
-  // chain ran dry) alongside the arrival chain; handle_rebalance keeps it
-  // alive while there is work the deposits could help.
-  if (config_.rebalance_interval > 0 && config_.rebalance_rate_xrp_per_s > 0 &&
-      !rebalance_scheduled_) {
-    push_event(at + config_.rebalance_interval, EventKind::kRebalance, 0);
-    rebalance_scheduled_ = true;
-  }
-}
+void Simulator::faults_extended() { arm(fault_events_); }
 
 void Simulator::process_next() {
   const SimEvent ev = events_.pop();
@@ -220,17 +208,14 @@ void Simulator::open_shard_window(TimePoint end) {
   // Upcoming arrivals, straight from the trace: the arrival CHAIN holds
   // only one scheduled event at a time, so the window's future arrivals
   // are enumerated from the trace itself.
-  if (trace_ != nullptr) {
-    for (std::size_t i = next_arrival_; i < trace_base_ + trace_->size();
-         ++i) {
-      const PaymentSpec& spec = (*trace_)[i - trace_base_];
-      if (spec.arrival > end) break;
-      // Admission-refused payments never reach attempt(): no plan needed.
-      if (config_.admission_cap > 0 && spec.amount > config_.admission_cap)
-        continue;
-      spec_jobs_.push_back(SpecJob{static_cast<std::uint64_t>(i), spec.src,
-                                   spec.dst, spec.amount});
-    }
+  for (std::size_t i = arrivals_.next; i < arrivals_.end(); ++i) {
+    const PaymentSpec& spec = arrivals_.at(i);
+    if (spec.arrival > end) break;
+    // Admission-refused payments never reach attempt(): no plan needed.
+    if (config_.admission_cap > 0 && spec.amount > config_.admission_cap)
+      continue;
+    spec_jobs_.push_back(SpecJob{static_cast<std::uint64_t>(i), spec.src,
+                                 spec.dst, spec.amount});
   }
   // Pending retries a poll round inside the window would re-attempt. The
   // want is snapshotted at window start; a settle/refund that changes it
@@ -364,17 +349,9 @@ void Simulator::ensure_pending(std::size_t payment_index) {
 }
 
 void Simulator::handle_arrival(std::size_t trace_index) {
-  // By value: once next_arrival_ moves past this entry (just below), the
-  // caller may legally release it from the trace vector — e.g. an
-  // observer hook driving SimSession::release_replayed — and a reference
-  // would dangle across the observer loop.
-  const PaymentSpec spec = (*trace_)[trace_index - trace_base_];
-  // Chain the next arrival so the heap stays small. In a streaming session
-  // the chain simply runs dry when the submitter falls behind the clock;
-  // trace_extended() restarts it.
-  arrival_scheduled_ = false;
-  ++next_arrival_;
-  sync_arrival_chain();
+  // In a streaming session the chain simply runs dry when the submitter
+  // falls behind the clock; trace_extended() restarts it.
+  const PaymentSpec spec = advance(arrivals_, trace_index);
 
   Payment p;
   p.id = static_cast<PaymentId>(trace_index);
@@ -997,19 +974,14 @@ void Simulator::handle_rebalance() {
     }
   }
   // Keep ticking while there is still work the deposits could help.
-  if (next_arrival_ < trace_base_ + trace_->size() || !pending_.empty()) {
+  if (arrivals_.next < arrivals_.end() || !pending_.empty()) {
     push_event(now() + config_.rebalance_interval, EventKind::kRebalance, 0);
     rebalance_scheduled_ = true;
   }
 }
 
 void Simulator::handle_topology(std::size_t change_index) {
-  const TopologyChange& change = (*topo_trace_)[change_index];
-  // Chain the next change first (like arrivals) so the event order does not
-  // depend on what this change does to the network.
-  topo_scheduled_ = false;
-  ++next_topo_;
-  sync_topology_chain();
+  const TopologyChange change = advance(churn_, change_index);
 
   switch (change.kind) {
     case TopologyChange::Kind::kClose:
@@ -1163,13 +1135,7 @@ std::uint64_t path_hash(const Path& path) {
 }  // namespace
 
 void Simulator::handle_fault(std::size_t fault_index) {
-  // By value: an observer hook could legally append to the fault vector.
-  const FaultEvent fault = (*fault_trace_)[fault_index];
-  // Chain the next fault first (like arrivals/topology) so the event order
-  // does not depend on what this fault does to the network.
-  fault_scheduled_ = false;
-  ++next_fault_;
-  sync_fault_chain();
+  const FaultEvent fault = advance(fault_events_, fault_index);
 
   const NodeId num_nodes = network_->graph().num_nodes();
   const EdgeId num_edges = network_->graph().num_edges();

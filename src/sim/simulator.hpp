@@ -139,18 +139,27 @@ class Simulator {
 
   // --- Streaming surface (what SimSession drives; run() is built on it) ---
 
-  /// Re-arms the simulator over `trace` without processing anything. The
-  /// caller may keep APPENDING to the vector between events (online
-  /// submission, nondecreasing arrival order); the vector object itself
-  /// must stay alive for the whole run. Call trace_extended() after every
-  /// append batch.
+  /// Input streams. Payments, topology changes and faults each arrive
+  /// through a caller-owned vector the simulator reads as an input chain
+  /// (DESIGN.md "Input chains"): the caller may keep APPENDING between
+  /// events, in nondecreasing time order and never before the clock, and
+  /// calls the stream's *_extended() after every append batch; the vector
+  /// object itself must outlive the run. A stream that is never armed, or
+  /// armed empty, schedules no events.
+  ///
+  /// begin() re-arms the simulator over `trace` without processing
+  /// anything and disarms the other two streams.
   void begin(const std::vector<PaymentSpec>& trace);
+  void begin_topology(const std::vector<TopologyChange>& churn);
+  void begin_faults(const std::vector<FaultEvent>& faults);
 
-  /// Notifies the simulator that the trace vector grew: restarts the
-  /// arrival chain (and the rebalance tick, if configured) when it had run
-  /// dry. No-op while an arrival event is already scheduled, so submitting
-  /// ahead of the clock keeps the exact event order of a batch run.
+  /// The stream's vector grew: restarts its chain (and, for payments, the
+  /// rebalance tick, if configured) when it had run dry. No-op while an
+  /// event for the stream is already scheduled, so submitting ahead of the
+  /// clock keeps the exact event order of a batch run.
   void trace_extended();
+  void topology_extended();
+  void faults_extended();
 
   /// Streaming-replay compaction: how many leading entries of the trace
   /// vector the arrival chain is finished with (consumed, no event pending
@@ -160,36 +169,12 @@ class Simulator {
   /// never lives in memory at once. Event payloads keep their original
   /// absolute trace indices (Payment::id is stable across compaction).
   [[nodiscard]] std::size_t trace_releasable() const {
-    return trace_ == nullptr ? 0 : next_arrival_ - trace_base_;
+    return arrivals_.next - arrivals_.base;
   }
 
   /// The caller erased `count` (<= trace_releasable()) leading entries from
   /// the trace vector; future index lookups rebase accordingly.
   void trace_released(std::size_t count);
-
-  /// Arms the dynamic-topology event stream over `churn` (same contract as
-  /// begin()'s trace: the caller may append between events, in
-  /// nondecreasing order, and must call topology_extended() after each
-  /// append; the vector object must outlive the run). Changes are
-  /// dispatched through the same (time, seq) queue as payments, so churn
-  /// interleaves with arrivals in one reproducible total order. A run that
-  /// never arms a stream (or arms an empty one) schedules no topology
-  /// events and is byte-identical to the pre-churn engine.
-  void begin_topology(const std::vector<TopologyChange>& churn);
-
-  /// Mirror of trace_extended() for the topology stream.
-  void topology_extended();
-
-  /// Arms the fault-injection stream over `faults` (same contract as
-  /// begin_topology: nondecreasing `at`, caller may append between events
-  /// and must call faults_extended() after each append, vector outlives
-  /// the run). Faults dispatch through the same (time, seq) queue, so a
-  /// run that never arms a stream (or arms an empty one) schedules no
-  /// fault events and stays byte-identical to the fault-free engine.
-  void begin_faults(const std::vector<FaultEvent>& faults);
-
-  /// Mirror of trace_extended() for the fault stream.
-  void faults_extended();
 
   /// Processes every event with time <= horizon, then rolls metric windows
   /// up to horizon (windows roll on time, not on events — an idle gap still
@@ -295,8 +280,45 @@ class Simulator {
     std::int32_t tail = -1;
   };
 
+  /// One caller-owned input stream read one entry at a time: at most one
+  /// event (for entry `next`) is queued per chain, so the heap stays small
+  /// and a streaming caller may append between events.
+  template <typename T>
+  struct InputChain {
+    EventKind kind;
+    const std::vector<T>* entries = nullptr;  // null = stream never armed
+    std::size_t next = 0;  // absolute index of the next undispatched entry
+    // Leading entries the caller released (bounded-memory replay; payments
+    // only): absolute index i lives at (*entries)[i - base].
+    std::size_t base = 0;
+    bool scheduled = false;  // the event for `next` is queued
+
+    void reset(const std::vector<T>* stream) {
+      entries = stream;
+      next = base = 0;
+      scheduled = false;
+    }
+    /// One past the last absolute index submitted so far.
+    [[nodiscard]] std::size_t end() const {
+      return entries == nullptr ? 0 : base + entries->size();
+    }
+    [[nodiscard]] const T& at(std::size_t i) const {
+      return (*entries)[i - base];
+    }
+  };
+
   void push_event(TimePoint time, EventKind kind, std::size_t index,
                   std::uint64_t stamp = 0);
+  /// Queues the chain's next entry unless one is already queued or the
+  /// chain ran dry; an arrival also (re)starts the rebalance tick.
+  template <typename T>
+  void arm(InputChain<T>& chain);
+  /// Dispatch side: copies entry `index` (the chain's queued head) out by
+  /// value, chains the next entry, and returns the copy. The copy keeps the
+  /// entry readable after the caller releases it, and chaining first keeps
+  /// the event order independent of what the entry does to the network.
+  template <typename T>
+  T advance(InputChain<T>& chain, std::size_t index);
   /// Pops and dispatches one event, rolling windows the clock crosses.
   void process_next();
   /// The shared inner loop of advance_until/drain: processes every event
@@ -311,9 +333,6 @@ class Simulator {
   /// trace arrivals in the window plus every pending payment a poll round
   /// would retry — and opens the planner window over them.
   void open_shard_window(TimePoint end);
-  /// Schedules the next unscheduled arrival (and the initial rebalance
-  /// tick) if the chain ran dry and the trace has more payments.
-  void sync_arrival_chain();
   /// Emits every complete window with end <= t, in index order.
   void roll_windows_until(TimePoint t);
   /// Emits the trailing partially-filled window (if the clock sits past the
@@ -349,8 +368,6 @@ class Simulator {
   void note_dequeue(std::size_t chunk_index, EdgeId edge, int side,
                     Duration wait);
   void handle_topology(std::size_t change_index);
-  /// Schedules the next unscheduled topology change when the chain ran dry.
-  void sync_topology_chain();
   /// A channel is about to close: chunks waiting inside its queues and
   /// chunks holding locked funds on it fail now, refunding every hop they
   /// hold (conservation-checked escrow return). Atomic payments lose
@@ -366,8 +383,6 @@ class Simulator {
   /// for faults — every released hop may admit waiters).
   void forced_abort_chunk(std::size_t chunk_index, EdgeId closing,
                           AbortCause cause);
-  // Fault stream (mirrors the topology chain).
-  void sync_fault_chain();
   void handle_fault(std::size_t fault_index);
   void handle_chunk_fault(std::size_t chunk_index, std::uint64_t stamp);
   void handle_fault_recover(std::size_t node_index, std::uint64_t stamp);
@@ -428,22 +443,11 @@ class Simulator {
   std::vector<SpecJob> spec_jobs_;            // per-window scratch, reused
 
   /// The injected event loop: owns ordering and the clock.
-  const std::vector<PaymentSpec>* trace_ = nullptr;
   EventQueue events_;
   bool poll_scheduled_ = false;
-  bool arrival_scheduled_ = false;
-  std::size_t next_arrival_ = 0;  // absolute index across compactions
-  // Leading trace entries the caller released (bounded-memory replay);
-  // absolute index i lives at (*trace_)[i - trace_base_].
-  std::size_t trace_base_ = 0;
-  // Dynamic-topology stream (mirrors the trace chain; null = static run).
-  const std::vector<TopologyChange>* topo_trace_ = nullptr;
-  bool topo_scheduled_ = false;
-  std::size_t next_topo_ = 0;
-  // Fault stream (null = fault-free run) + runtime fault tables.
-  const std::vector<FaultEvent>* fault_trace_ = nullptr;
-  bool fault_scheduled_ = false;
-  std::size_t next_fault_ = 0;
+  InputChain<PaymentSpec> arrivals_{EventKind::kArrival};
+  InputChain<TopologyChange> churn_{EventKind::kTopology};
+  InputChain<FaultEvent> fault_events_{EventKind::kFault};
   FaultState faults_;
   // Per-payment fault blacklists: FNV-1a hashes of the edge sequences that
   // failed this payment by drop/grief. Empty for the vast majority of

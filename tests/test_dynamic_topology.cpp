@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "spider.hpp"
+#include "test_support.hpp"
 
 namespace spider {
 namespace {
@@ -282,10 +283,10 @@ TEST(DynamicTopology, StreamedChurnMatchesBatchChurn) {
 }
 
 TEST(DynamicTopology, ZeroChurnRunIsByteIdenticalToStaticRun) {
-  // The churn-aware run surface with an empty stream must cost nothing:
-  // identical event sequence, identical metric bytes, across schemes and
-  // both queueing modes. (The absolute pre-refactor pin is the golden
-  // fixed-seed gate in test_session.cpp, which this PR leaves untouched.)
+  // A session arms its topology chain even when no change is ever
+  // submitted; run_simulation never arms one. Both must produce the same
+  // bytes, across schemes and both queueing modes. (The absolute pin is
+  // the golden fixed-seed gate in test_session.cpp.)
   ScenarioParams params;
   params.payments = 400;
   params.traffic_seed = 9;
@@ -295,7 +296,7 @@ TEST(DynamicTopology, ZeroChurnRunIsByteIdenticalToStaticRun) {
     const SpiderNetwork net(scenario.graph, scenario.config);
     for (const Scheme scheme : all_schemes()) {
       SCOPED_TRACE(scheme_name(scheme));
-      expect_identical(net.run(scheme, scenario.trace, 3),
+      expect_identical(run_without_session(net, scheme, scenario.trace, 3),
                        net.run(scheme, scenario.trace, 3, empty));
     }
   }
@@ -304,7 +305,7 @@ TEST(DynamicTopology, ZeroChurnRunIsByteIdenticalToStaticRun) {
   for (const Scheme scheme :
        {Scheme::kSpiderWaterfilling, Scheme::kShortestPath}) {
     SCOPED_TRACE(scheme_name(scheme));
-    expect_identical(net.run(scheme, scenario.trace, 3),
+    expect_identical(run_without_session(net, scheme, scenario.trace, 3),
                      net.run(scheme, scenario.trace, 3, empty));
   }
 }

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,12 +60,15 @@ SimMetrics run_with_shards(const ScenarioInstance& scenario, Scheme scheme,
 // --- Zero-fault byte-identity -----------------------------------------
 
 TEST(FaultInjection, ZeroFaultRunIsByteIdenticalToStaticRun) {
+  // A session arms its fault chain even when no fault is ever submitted;
+  // run_simulation never arms one. Both must produce the same bytes.
   const ScenarioInstance scenario = small_isp(400, 9);
   const SpiderNetwork net(scenario.graph, scenario.config);
   const std::vector<FaultEvent> none;
   for (const Scheme scheme : all_schemes()) {
     SCOPED_TRACE(scheme_name(scheme));
-    const SimMetrics plain = net.run(scheme, scenario.trace, 3);
+    const SimMetrics plain =
+        run_without_session(net, scheme, scenario.trace, 3);
     const SimMetrics empty_faults =
         net.run(scheme, scenario.trace, 3, {}, none);
     expect_identical_metrics(plain, empty_faults);
@@ -92,29 +96,74 @@ TEST(FaultInjection, FaultedRunsAreDeterministicForEveryScheme) {
   }
 }
 
+/// One past the first entry of `stream` later than `horizon` (the stream's
+/// size when none is). Submitting up to there before advance_until(horizon)
+/// leaves the stream's chain holding a queued event at the horizon, so the
+/// chain never runs dry and is never re-armed at a sequence point the batch
+/// run does not share.
+template <typename T>
+std::size_t span_end(const std::vector<T>& stream, TimePoint horizon,
+                     TimePoint T::*time) {
+  const auto past = std::find_if(stream.begin(), stream.end(),
+                                 [&](const T& e) { return e.*time > horizon; });
+  return past == stream.end()
+             ? stream.size()
+             : static_cast<std::size_t>(past - stream.begin()) + 1;
+}
+
 TEST(FaultInjection, StreamedFaultsMatchBatchFaults) {
-  // Faults and payments submitted span by span through a session replay
-  // the batch faulted run exactly — the streaming-equivalence guarantee
-  // extended to the fault stream.
-  const ScenarioInstance scenario = small_isp();
+  // Churn, faults and payments each submitted in three spans, with the
+  // clock advanced between spans, replay the batch run exactly — the
+  // streaming-equivalence guarantee over all three input chains.
+  ScenarioInstance scenario = small_isp();
+  ChurnConfig churn_config;
+  churn_config.events_per_second = 20.0;
+  churn_config.start = milliseconds(100);
+  churn_config.stop = scenario.trace.back().arrival;
+  churn_config.seed = 5;
+  scenario.churn = ChurnSchedule(scenario.graph, churn_config).generate();
+  const std::vector<TopologyChange>& churn = scenario.churn;
   const std::vector<FaultEvent> faults = mixed_schedule(scenario.graph);
+  const std::vector<PaymentSpec>& trace = scenario.trace;
   const SpiderNetwork net(scenario.graph, scenario.config);
-  for (const Scheme scheme :
-       {Scheme::kSpiderWaterfilling, Scheme::kSpeedyMurmurs}) {
+  for (const Scheme scheme : {Scheme::kSpiderWaterfilling,
+                              Scheme::kSpeedyMurmurs, Scheme::kSpiderDctcp}) {
     SCOPED_TRACE(scheme_name(scheme));
-    const SimMetrics batch = net.run(scheme, scenario.trace, 7, {}, faults);
+    const SimMetrics batch = net.run(scheme, trace, 7, churn, faults);
+    EXPECT_GT(batch.topology_changes, 0);
+    EXPECT_EQ(batch.faults_injected,
+              static_cast<std::int64_t>(faults.size()));
 
     SessionOptions options;
-    options.demand_hint = &scenario.trace;
+    options.demand_hint = &trace;
     SimSession session = net.session(scheme, 7, options);
-    const std::size_t half = faults.size() / 2;
-    session.submit_faults(faults.data(), half);
-    session.submit_faults(faults.data() + half, faults.size() - half);
-    const std::size_t third = scenario.trace.size() / 3;
-    session.submit(scenario.trace.data(), third);
-    session.submit(scenario.trace.data() + third,
-                   scenario.trace.size() - third);
+    std::size_t churn_at = 0;
+    std::size_t faults_at = 0;
+    std::size_t trace_at = 0;
+    // Churn, then faults, then payments: the canonical order of run().
+    const auto submit_through = [&](TimePoint horizon) {
+      const std::size_t c = span_end(churn, horizon, &TopologyChange::at);
+      const std::size_t f = span_end(faults, horizon, &FaultEvent::at);
+      const std::size_t t = span_end(trace, horizon, &PaymentSpec::arrival);
+      ASSERT_GT(c, churn_at);
+      ASSERT_GT(f, faults_at);
+      ASSERT_GT(t, trace_at);
+      session.submit_topology(churn.data() + churn_at, c - churn_at);
+      session.submit_faults(faults.data() + faults_at, f - faults_at);
+      session.submit(trace.data() + trace_at, t - trace_at);
+      churn_at = c;
+      faults_at = f;
+      trace_at = t;
+    };
+    for (const TimePoint horizon : {milliseconds(250), milliseconds(600)}) {
+      submit_through(horizon);
+      (void)session.advance_until(horizon);
+    }
+    submit_through(std::numeric_limits<TimePoint>::max());
+    ASSERT_EQ(trace_at, trace.size());
     const SimMetrics streamed = session.drain();
+    EXPECT_EQ(session.submitted_topology(), churn.size());
+    EXPECT_EQ(session.submitted_faults(), faults.size());
     expect_identical_metrics(batch, streamed);
   }
 }

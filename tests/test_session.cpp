@@ -230,7 +230,16 @@ TEST(SimSession, ResumesAfterRunningDry) {
     spec.arrival += shift;
     session.submit(spec);
   }
+  // The topology and fault chains were armed empty and never ran; a
+  // submission after the drain must re-arm each of them too.
+  const TimePoint later = session.now() + milliseconds(1);
+  session.submit_topology(TopologyChange::deposit(later, 0, 0, xrp(1)));
+  session.submit_faults(FaultEvent::recover(later, 0));
   const SimMetrics total = session.drain();
+  EXPECT_EQ(first.topology_changes, 0);
+  EXPECT_EQ(first.faults_injected, 0);
+  EXPECT_EQ(total.topology_changes, 1);
+  EXPECT_EQ(total.faults_injected, 1);
   EXPECT_EQ(total.attempted_count,
             static_cast<std::int64_t>(scenario.trace.size()));
   EXPECT_GT(total.completed_count, first.completed_count);

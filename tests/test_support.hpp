@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/scenario.hpp"
+#include "core/spider.hpp"
 #include "sim/metrics.hpp"
+#include "sim/simulator.hpp"
 #include "topology/topology.hpp"
 #include "workload/trace_io.hpp"
 
@@ -67,6 +71,30 @@ inline void expect_identical_metrics(const SimMetrics& a,
   // through a stale hand-maintained list.
   EXPECT_TRUE(a == b) << "SimMetrics differ in a field the per-field "
                          "expectations above do not cover";
+}
+
+/// `net.run(scheme, trace, seed)` without the session: the same router
+/// wiring (transport defaults for transport-dependent schemes, the shared
+/// warm path store) driven through run_simulation, i.e. Simulator::run,
+/// which never arms the churn or fault chain. The zero-churn and zero-fault
+/// gates compare a session (every chain armed, churn and faults empty)
+/// against this.
+inline SimMetrics run_without_session(const SpiderNetwork& net, Scheme scheme,
+                                      const std::vector<PaymentSpec>& trace,
+                                      std::uint64_t seed) {
+  SpiderConfig config = net.config();
+  config.sim.seed = seed;
+  if (scheme_requires_transport(scheme) && !config.sim.transport.enabled) {
+    config.sim.transport.enabled = true;
+    config.sim.queueing = QueueingMode::kRouterQueue;
+  }
+  const PathCache* paths = nullptr;
+  if (scheme_uses_path_store(scheme)) {
+    net.warm_paths(trace);
+    paths = net.path_store();
+  }
+  const std::unique_ptr<Router> router = make_router(scheme, config);
+  return run_simulation(net.topology(), *router, trace, config.sim, paths);
 }
 
 /// The file-backed `trace-replay` scenario needs an on-disk workload;
