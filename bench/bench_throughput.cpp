@@ -15,16 +15,6 @@
 //   payments/sec — trace payments per wall second (end-to-end rate)
 //   plans/sec    — router plan() invocations per wall second
 //
-// Sharded rows: SPIDER_BENCH_SHARDS (comma list of shard counts, default
-// "4"; empty or "0" disables) reruns every scenario × scheme through the
-// sharded single-run engine (core/shard.hpp) at each count K, reported as
-// scenario "name#sK" with a `shards` column and `scaling_x` = sharded
-// events/sec ÷ the serial row's. The serial == sharded byte-identity
-// invariant is the test suite's job (tests/test_sharded.cpp); this bench
-// records what the parallelism buys on the host it ran on, so the JSON
-// header carries the host's `cores` — a scaling_x measured on 1 core is
-// honest, not a regression.
-//
 // Attack-resilience rows: SPIDER_BENCH_ATTACKS (comma list of adversarial
 // registry scenarios, default "griefing,hub-drain,lossy-network"; empty
 // disables) runs every measured-AND-paper scheme over each attack scenario
@@ -55,17 +45,20 @@
 // Output: a table on stdout, the optional CSV dump every bench supports,
 // and a JSON report (default ./BENCH_throughput.json; SPIDER_BENCH_JSON
 // overrides) whose checked-in copy at the repo root is the baseline future
-// PRs are compared against. Schema (schema_version 6 — v6 adds the
-// parse_s / sim_s wall-time split; v5 added the transport columns
-// chunks_marked / pace_rounds / queue_delay_p99_s, zero for schemes that
-// never enable the transport layer):
+// PRs are compared against. `cores` is the host's hardware concurrency,
+// recorded so a number can be read against the machine it came from.
+// Schema (schema_version 7 — v7 removes the "name#sK" rows and their two
+// columns, which measured a parallel single-run engine that no longer
+// exists; v6 added the parse_s / sim_s wall-time split; v5 added the
+// transport columns chunks_marked / pace_rounds / queue_delay_p99_s, zero
+// for schemes that never enable the transport layer):
 //
-//   { "bench": "bench_throughput", "schema_version": 6, "paths_k": K,
+//   { "bench": "bench_throughput", "schema_version": 7, "paths_k": K,
 //     "cores": C,
 //     "results": [ { "scenario", "scheme", "nodes", "edges", "payments",
-//                    "paths_k", "shards", "warm_s", "wall_s", "parse_s",
-//                    "sim_s", "events", "events_per_s", "payments_per_s",
-//                    "plans_per_s", "scaling_x", "success_ratio",
+//                    "paths_k", "warm_s", "wall_s", "parse_s", "sim_s",
+//                    "events", "events_per_s", "payments_per_s",
+//                    "plans_per_s", "success_ratio",
 //                    "steady_success_ratio", "windows", "sim_duration_s",
 //                    "chunks_marked", "pace_rounds", "queue_delay_p99_s",
 //                    "faults_injected", "messages_dropped",
@@ -85,21 +78,21 @@
 // comments allowed) with these line forms:
 //
 //   scenario scheme events_per_s        — absolute rate floor (30% grace)
-//   scaling scenario scheme min_x       — scaling_x floor for sharded rows
 //   success scenario scheme min_ratio   — success-ratio floor (no grace;
 //                                         the attack-resilience gate)
 //   payments scenario scheme min_per_s  — payments/sec floor (30% grace;
 //                                         gates the trace-replay rows'
 //                                         end-to-end rate)
 //
-// and exits non-zero on any violation. A floor line whose scenario the
-// current invocation did not measure is skipped with a notice (CI steps
-// gate different scenario subsets against one shared file); a line whose
-// scenario WAS measured but whose scheme matches nothing fails closed — a
-// renamed scheme must not silently lose its gate. Scaling lines are
-// additionally skipped when the host has fewer cores than the row's shard
-// count: a 1-core container cannot exhibit parallel speedup and should not
-// fail for it. CI keeps the floors checked in at bench/perf_floor.txt.
+// and exits non-zero on any violation. Every line is parsed in full
+// before anything else: an unknown keyword, a missing field, a trailing
+// token or a non-numeric floor is a violation, so a typo cannot silently
+// drop a gate. A well-formed line whose scenario the current invocation
+// did not measure is skipped with a notice (CI steps gate different
+// scenario subsets against one shared file); a line whose scenario WAS
+// measured but whose scheme matches nothing fails closed — a renamed
+// scheme must not silently lose its gate. CI keeps the floors checked in
+// at bench/perf_floor.txt.
 //
 // Trace-replay byte-identity gate (runs by default; SPIDER_BENCH_REPLAY=0
 // skips): writes a scenario's in-memory workload to disk in BOTH formats
@@ -118,7 +111,9 @@
 // The paper point: SPIDER_BENCH_SCENARIOS=ripple-full runs the pruned-Ripple
 // scale (3774 nodes, 200k transactions by default — §6.1's headline setup).
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -148,7 +143,6 @@ struct ThroughputRow {
   EdgeId edges = 0;
   std::size_t payments = 0;
   int paths_k = 0;
-  int shards = 1;
   double warm_s = 0.0;
   double wall_s = 0.0;
   // Wall-time split (schema v6): replay rows attribute wall_s between a
@@ -160,7 +154,6 @@ struct ThroughputRow {
   double events_per_s = 0.0;
   double payments_per_s = 0.0;
   double plans_per_s = 0.0;
-  double scaling_x = 1.0;  // events_per_s vs this scenario's serial row
   double success_ratio = 0.0;
   double steady_success_ratio = 0.0;
   int windows = 0;
@@ -233,7 +226,7 @@ void write_json(const std::string& path, int paths_k,
     return;
   }
   out << "{\n  \"bench\": \"bench_throughput\",\n"
-      << "  \"schema_version\": 6,\n"
+      << "  \"schema_version\": 7,\n"
       << "  \"paths_k\": " << paths_k << ",\n"
       << "  \"cores\": " << std::thread::hardware_concurrency()
       << ",\n  \"results\": [\n";
@@ -244,7 +237,6 @@ void write_json(const std::string& path, int paths_k,
         << "\", \"nodes\": " << r.nodes << ", \"edges\": " << r.edges
         << ", \"payments\": " << r.payments
         << ", \"paths_k\": " << r.paths_k
-        << ", \"shards\": " << r.shards
         << ", \"warm_s\": " << json_num(r.warm_s)
         << ", \"wall_s\": " << json_num(r.wall_s)
         << ", \"parse_s\": " << json_num(r.parse_s)
@@ -253,7 +245,6 @@ void write_json(const std::string& path, int paths_k,
         << ", \"events_per_s\": " << json_num(r.events_per_s, 0)
         << ", \"payments_per_s\": " << json_num(r.payments_per_s, 0)
         << ", \"plans_per_s\": " << json_num(r.plans_per_s, 0)
-        << ", \"scaling_x\": " << json_num(r.scaling_x, 2)
         << ", \"success_ratio\": " << json_num(r.success_ratio, 4)
         << ", \"steady_success_ratio\": " << json_num(r.steady_success_ratio, 4)
         << ", \"windows\": " << r.windows
@@ -275,12 +266,51 @@ void write_json(const std::string& path, int paths_k,
   std::cout << "\nwrote " << path << "\n";
 }
 
+/// One parsed floor-file line.
+struct FloorLine {
+  enum class Kind { kEvents, kSuccess, kPayments } kind = Kind::kEvents;
+  std::string scenario;
+  std::string scheme;
+  double floor = 0.0;
+};
+
+/// Parses a whole floor-file line: "scenario scheme value" or
+/// "success|payments scenario scheme value". The value must be a finite,
+/// non-negative number consumed in full. Anything else — an unknown
+/// keyword, a missing field, a trailing token — returns false.
+bool parse_floor_line(const std::string& line, FloorLine& out) {
+  std::stringstream fields(line);
+  std::vector<std::string> tokens;
+  std::string token;
+  while (fields >> token) tokens.push_back(token);
+  std::size_t next = 0;
+  if (tokens.size() == 4) {
+    if (tokens[0] == "success") {
+      out.kind = FloorLine::Kind::kSuccess;
+    } else if (tokens[0] == "payments") {
+      out.kind = FloorLine::Kind::kPayments;
+    } else {
+      return false;
+    }
+    next = 1;
+  } else if (tokens.size() != 3) {
+    return false;
+  }
+  out.scenario = tokens[next];
+  out.scheme = tokens[next + 1];
+  const std::string& value = tokens[next + 2];
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out.floor);
+  return ec == std::errc() && ptr == end && std::isfinite(out.floor) &&
+         out.floor >= 0.0;
+}
+
 /// Returns the number of floor violations. Absolute lines gate
 /// events_per_s and "payments" lines gate payments_per_s (both with 30%
-/// grace — they are timings); "scaling" lines gate scaling_x on sharded
-/// rows, skipped when the host has fewer cores than the row's shard count.
-/// Lines whose scenario the run did not measure are skipped with a notice;
-/// a measured scenario whose scheme matches nothing fails closed.
+/// grace — they are timings); "success" lines gate the success ratio. A
+/// malformed line is a violation. Well-formed lines whose scenario the run
+/// did not measure are skipped with a notice; a measured scenario whose
+/// scheme matches nothing fails closed.
 int check_floor(const std::string& floor_path,
                 const std::vector<ThroughputRow>& rows) {
   std::ifstream in(floor_path);
@@ -290,7 +320,6 @@ int check_floor(const std::string& floor_path,
     return 1;
   }
   constexpr double kAllowedRegression = 0.30;
-  const unsigned cores = std::thread::hardware_concurrency();
   // Floor schemes use the scheme name with spaces replaced by '-'.
   const auto flat_scheme = [](const ThroughputRow& r) {
     std::string flat = r.scheme;
@@ -307,24 +336,17 @@ int check_floor(const std::string& floor_path,
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
-    std::stringstream fields(line);
-    std::string scenario, scheme;
-    double floor = 0.0;
-    bool scaling = false;
-    bool success = false;
-    bool payments = false;
-    if (!(fields >> scenario)) continue;
-    if (scenario == "scaling") {
-      scaling = true;
-      if (!(fields >> scenario)) continue;
-    } else if (scenario == "success") {
-      success = true;
-      if (!(fields >> scenario)) continue;
-    } else if (scenario == "payments") {
-      payments = true;
-      if (!(fields >> scenario)) continue;
+    FloorLine parsed;
+    if (!parse_floor_line(line, parsed)) {
+      std::cerr << "PERF FLOOR MALFORMED: '" << line
+                << "' (expected \"[success|payments] scenario scheme "
+                   "value\")\n";
+      ++violations;
+      continue;
     }
-    if (!(fields >> scheme >> floor)) continue;
+    const std::string& scenario = parsed.scenario;
+    const std::string& scheme = parsed.scheme;
+    const double floor = parsed.floor;
     // Different CI steps gate different scenario subsets against this one
     // file; a scenario this invocation was not asked to run is not a
     // missing gate, just out of scope.
@@ -337,7 +359,7 @@ int check_floor(const std::string& floor_path,
     for (const ThroughputRow& r : rows) {
       if (r.scenario != scenario || flat_scheme(r) != scheme) continue;
       matched = true;
-      if (success) {
+      if (parsed.kind == FloorLine::Kind::kSuccess) {
         // Attack-resilience gate: a scheme's success ratio under the fault
         // schedule must stay above the floor. No regression grace — the
         // ratio is deterministic in (scenario, scheme, seed), not a timing.
@@ -350,21 +372,7 @@ int check_floor(const std::string& floor_path,
         }
         continue;
       }
-      if (scaling) {
-        if (cores < static_cast<unsigned>(r.shards)) {
-          std::cout << "scaling floor skipped (" << cores << " core(s) < "
-                    << r.shards << " shards): " << line << "\n";
-          continue;
-        }
-        if (r.scaling_x < floor) {
-          std::cerr << "PERF REGRESSION: " << scenario << " / " << r.scheme
-                    << " scaled " << json_num(r.scaling_x, 2)
-                    << "x over serial, below the " << json_num(floor, 2)
-                    << "x floor\n";
-          ++violations;
-        }
-        continue;
-      }
+      const bool payments = parsed.kind == FloorLine::Kind::kPayments;
       const double minimum = floor * (1.0 - kAllowedRegression);
       const double rate = payments ? r.payments_per_s : r.events_per_s;
       const char* unit = payments ? "payments/s" : "events/s";
@@ -585,8 +593,7 @@ std::vector<ThroughputRow> measure_replay_rows() {
   return rows;
 }
 
-/// Times one scenario × scheme run through `net` (serial when
-/// net.config().shards == 1, sharded otherwise) and fills a row. The
+/// Times one scenario × scheme run through `net` and fills a row. The
 /// windowed path is the default — SPIDER_BENCH_WINDOW_S=0 opts out.
 ThroughputRow measure_row(const SpiderNetwork& net,
                           const ScenarioInstance& scenario,
@@ -615,7 +622,6 @@ ThroughputRow measure_row(const SpiderNetwork& net,
   row.edges = scenario.graph.num_edges();
   row.payments = scenario.trace.size();
   row.paths_k = net.config().num_paths;
-  row.shards = net.config().shards;
   row.warm_s = warm_s;
   row.wall_s = wall;
   row.sim_s = wall;  // no parse phase: the whole wall is simulation
@@ -643,27 +649,6 @@ ThroughputRow measure_row(const SpiderNetwork& net,
   return row;
 }
 
-/// SPIDER_BENCH_SHARDS: comma list of shard counts to rerun each scenario
-/// with (default "4"); counts <= 1 are dropped, so "" or "0" disables the
-/// sharded rows.
-std::vector<int> parse_shard_counts() {
-  std::vector<int> counts;
-  for (const std::string& item :
-       split_list(env_string("SPIDER_BENCH_SHARDS", "4"))) {
-    try {
-      std::size_t consumed = 0;
-      const int k = std::stoi(item, &consumed);
-      if (consumed != item.size()) throw std::invalid_argument(item);
-      if (k > 1) counts.push_back(k);
-    } catch (const std::exception&) {
-      std::cerr << "bench_throughput: bad SPIDER_BENCH_SHARDS entry '"
-                << item << "' — expected an integer shard count\n";
-      std::exit(2);
-    }
-  }
-  return counts;
-}
-
 int run() {
   bench::banner("E18", "engine throughput (events/sec, payments/sec, "
                        "plans/sec per scenario)",
@@ -675,8 +660,8 @@ int run() {
           ? std::getenv("SPIDER_BENCH_SCENARIOS")
           : "isp,ripple-like,ripple-like@1000,lightning-churn";
   // spider-dctcp runs with the transport layer auto-enabled (router queues
-  // + AIMD windows — scheme_requires_transport), so its serial and sharded
-  // rows keep the windowed control loop under the CI floor gate.
+  // + AIMD windows — scheme_requires_transport), so its rows keep the
+  // windowed control loop under the CI floor gate.
   const std::vector<Scheme> schemes = {Scheme::kSpiderWaterfilling,
                                        Scheme::kShortestPath,
                                        Scheme::kSpiderDctcp};
@@ -686,10 +671,6 @@ int run() {
   for (const std::string& spec : split_list(scenario_list)) {
     const auto [name, node_override] = parse_spec(spec);
     ScenarioParams params = ScenarioParams::from_env();
-    // The serial rows are the scaling_x denominators, so a SPIDER_SHARDS
-    // override must not shard them — this bench takes its shard counts
-    // from SPIDER_BENCH_SHARDS and runs both sides itself.
-    params.shards = 0;
     if (node_override > 0) params.nodes = node_override;
     if (params.traffic_seed == 0) params.traffic_seed = 18;  // E18 stream
     const ScenarioInstance scenario = build_scenario(name, params);
@@ -708,50 +689,22 @@ int run() {
               << net.path_store()->pair_count() << " pairs, "
               << net.path_store()->path_count() << " paths)\n";
 
-    // Serial rows first — they are the scaling_x denominators. The batch
-    // run IS a session (submit + drain), so this times the streaming
-    // surface; the default windowed mode measures the observer pipeline
-    // under the same clock.
-    std::vector<double> serial_rate(schemes.size(), 0.0);
-    for (std::size_t s = 0; s < schemes.size(); ++s) {
-      ThroughputRow row = measure_row(net, scenario, spec, schemes[s], warm_s);
-      serial_rate[s] = row.events_per_s;
-      rows.push_back(row);
-    }
-
-    // Sharded rows: same scenario, same schemes, through the sharded
-    // engine at each requested count. Each count gets its own façade (the
-    // shard count is run configuration) and its own warmed store — the
-    // warm is outside the timed region either way.
-    for (const int shard_count : parse_shard_counts()) {
-      SpiderConfig sharded_config = scenario.config;
-      sharded_config.shards = shard_count;
-      const SpiderNetwork sharded_net(scenario.graph, sharded_config);
-      const auto sharded_warm_start = Clock::now();
-      sharded_net.warm_paths(scenario.trace);
-      const double sharded_warm_s = seconds_since(sharded_warm_start);
-      const std::string sharded_spec =
-          spec + "#s" + std::to_string(shard_count);
-      for (std::size_t s = 0; s < schemes.size(); ++s) {
-        ThroughputRow row = measure_row(sharded_net, scenario, sharded_spec,
-                                        schemes[s], sharded_warm_s);
-        if (serial_rate[s] > 0) row.scaling_x = row.events_per_s / serial_rate[s];
-        rows.push_back(row);
-      }
-    }
+    // The batch run IS a session (submit + drain), so this times the
+    // streaming surface; the default windowed mode measures the observer
+    // pipeline under the same clock.
+    for (const Scheme scheme : schemes)
+      rows.push_back(measure_row(net, scenario, spec, scheme, warm_s));
   }
 
   Table table({"scenario", "scheme (k=" + std::to_string(paths_k) + ")",
-               "payments", "shards", "warm_s", "wall_s", "events/s",
-               "payments/s", "plans/s", "scaling_x", "success_ratio"});
+               "payments", "warm_s", "wall_s", "events/s", "payments/s",
+               "plans/s", "success_ratio"});
   for (const ThroughputRow& r : rows)
     table.add_row({r.scenario, r.scheme, std::to_string(r.payments),
-                   std::to_string(r.shards),
                    Table::num(r.warm_s, 3), Table::num(r.wall_s, 3),
                    Table::num(r.events_per_s, 0),
                    Table::num(r.payments_per_s, 0),
                    Table::num(r.plans_per_s, 0),
-                   Table::num(r.scaling_x, 2),
                    Table::pct(r.success_ratio)});
   std::cout << "\n" << table.render();
   maybe_write_csv("throughput", table);
@@ -768,7 +721,6 @@ int run() {
     for (const std::string& spec : split_list(attack_list)) {
       const auto [name, node_override] = parse_spec(spec);
       ScenarioParams params = ScenarioParams::from_env();
-      params.shards = 0;
       if (node_override > 0) params.nodes = node_override;
       if (params.traffic_seed == 0) params.traffic_seed = 18;  // E18 stream
       const ScenarioInstance scenario = build_scenario(name, params);
@@ -810,7 +762,6 @@ int run() {
     for (const std::string& spec : split_list(transport_list)) {
       const auto [name, node_override] = parse_spec(spec);
       ScenarioParams params = ScenarioParams::from_env();
-      params.shards = 0;
       if (node_override > 0) params.nodes = node_override;
       if (params.traffic_seed == 0) params.traffic_seed = 18;  // E18 stream
       const ScenarioInstance scenario = build_scenario(name, params);

@@ -124,11 +124,6 @@ void SpiderConfig::validate() const {
     throw std::invalid_argument("SpiderConfig: num_trees must be >= 1");
   if (lp_max_pairs < 0)
     throw std::invalid_argument("SpiderConfig: lp_max_pairs must be >= 0");
-  if (shards < 1)
-    throw std::invalid_argument("SpiderConfig: shards must be >= 1");
-  if (sim.shard_lookahead < 0)
-    throw std::invalid_argument(
-        "SpiderConfig: shard_lookahead must be non-negative");
   if (primal_dual.num_paths < 1 || primal_dual.steps_per_tick < 1 ||
       primal_dual.warmup_steps < 0 || primal_dual.bucket_depth <= 0)
     throw std::invalid_argument("SpiderConfig: bad primal-dual settings");

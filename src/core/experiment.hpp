@@ -86,8 +86,7 @@ void maybe_write_windows_csv(const std::string& bench_name,
 
 /// The process-wide worker budget: `requested` when nonzero, else
 /// SPIDER_THREADS when set, else the hardware concurrency, else 1. The
-/// ExperimentRunner pool, the shard workers and path warm-up all size
-/// themselves from it.
+/// ExperimentRunner pool and path warm-up size themselves from it.
 [[nodiscard]] unsigned thread_budget(unsigned requested = 0);
 
 /// If SPIDER_BENCH_CSV_DIR is set, writes `table` to

@@ -1,17 +1,9 @@
 #include "core/runner.hpp"
 
-#include <algorithm>
-
 #include "core/experiment.hpp"
 #include "util/log.hpp"
 
 namespace spider {
-
-unsigned resolve_parallel_cap(unsigned budget, int shards) {
-  if (budget == 0) budget = 1;
-  if (shards <= 1) return budget;
-  return std::max(1u, budget / static_cast<unsigned>(shards));
-}
 
 ExperimentRunner::ExperimentRunner(unsigned threads) {
   const unsigned count = thread_budget(threads);
@@ -33,9 +25,7 @@ void ExperimentRunner::worker_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
     work_cv_.wait(lock, [&] {
-      return stopping_ ||
-             (job_ != nullptr && next_index_ < job_count_ &&
-              (max_parallel_ == 0 || active_ < max_parallel_));
+      return stopping_ || (job_ != nullptr && next_index_ < job_count_);
     });
     if (stopping_) return;
     // Claim an index and snapshot the job it belongs to in one critical
@@ -43,7 +33,6 @@ void ExperimentRunner::worker_loop() {
     // completes, so the pointer stays valid for the unlocked call below.
     const std::function<void(std::size_t)>* job = job_;
     const std::size_t index = next_index_++;
-    ++active_;
     lock.unlock();
     std::exception_ptr error;
     try {
@@ -52,18 +41,13 @@ void ExperimentRunner::worker_loop() {
       error = std::current_exception();
     }
     lock.lock();
-    --active_;
-    // A capped batch may have claimable work that only became runnable now.
-    if (max_parallel_ != 0 && next_index_ < job_count_)
-      work_cv_.notify_one();
     if (error && !first_error_) first_error_ = error;
     if (--remaining_ == 0) done_cv_.notify_all();
   }
 }
 
 void ExperimentRunner::for_each(std::size_t count,
-                                const std::function<void(std::size_t)>& fn,
-                                std::size_t max_parallel) {
+                                const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
   std::unique_lock<std::mutex> lock(mutex_);
   SPIDER_ASSERT_MSG(job_ == nullptr,
@@ -72,12 +56,10 @@ void ExperimentRunner::for_each(std::size_t count,
   job_count_ = count;
   next_index_ = 0;
   remaining_ = count;
-  max_parallel_ = max_parallel;
   first_error_ = nullptr;
   work_cv_.notify_all();
   done_cv_.wait(lock, [&] { return remaining_ == 0; });
   job_ = nullptr;
-  max_parallel_ = 0;
   if (first_error_) {
     std::exception_ptr error = first_error_;
     first_error_ = nullptr;
@@ -110,25 +92,10 @@ std::vector<CellResult> ExperimentRunner::run_grid(
   for (const ScenarioInstance& scenario : scenarios)
     networks.emplace_back(scenario.graph, scenario.config);
 
-  // Nested-parallelism arbiter: sharded cells (config.shards > 1) spawn
-  // their own planner threads, so the pool and the shard workers must split
-  // one core budget — cap concurrent cells at budget / shards instead of
-  // oversubscribing K × grid.
-  int max_shards = 1;
-  for (const ScenarioInstance& scenario : scenarios)
-    max_shards = std::max(max_shards, scenario.config.shards);
-  const std::size_t cell_cap =
-      max_shards > 1 ? resolve_parallel_cap(thread_count(), max_shards) : 0;
-
   SPIDER_INFO("experiment grid: " << scenarios.size() << " scenario(s) x "
                                   << schemes.size() << " scheme(s), "
                                   << cells.size() << " runs on "
-                                  << thread_count() << " thread(s)"
-                                  << (cell_cap > 0
-                                          ? " (sharded cells: " +
-                                                std::to_string(cell_cap) +
-                                                " concurrent)"
-                                          : ""));
+                                  << thread_count() << " thread(s)");
 
   std::vector<CellResult> results(cells.size());
   const auto run_cell = [&](std::size_t i) {
@@ -154,7 +121,7 @@ std::vector<CellResult> ExperimentRunner::run_grid(
                                    scenario.churn, scenario.faults);
     }
   };
-  for_each(cells.size(), run_cell, cell_cap);
+  for_each(cells.size(), run_cell);
   return results;
 }
 

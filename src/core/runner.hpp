@@ -12,8 +12,8 @@
 //
 // Thread count resolution (thread_budget, core/experiment.hpp): an explicit
 // constructor argument wins; otherwise the SPIDER_THREADS environment
-// variable; otherwise the hardware concurrency. for_each() must not be re-entered from a worker (no nested
-// parallelism).
+// variable; otherwise the hardware concurrency. for_each() must not be
+// re-entered from a worker (no nested parallelism).
 #pragma once
 
 #include <condition_variable>
@@ -29,14 +29,6 @@
 #include "sim/observers.hpp"
 
 namespace spider {
-
-/// Nested-parallelism arbiter: how many grid cells may run concurrently
-/// when each cell is itself a sharded run (core/shard.hpp) spawning up to
-/// `shards` planner threads. Keeps pool × shard workers within one
-/// `budget` (the SPIDER_THREADS / hardware core budget) instead of
-/// multiplying into K × grid oversubscription: max(1, budget / shards),
-/// the whole budget when shards <= 1.
-[[nodiscard]] unsigned resolve_parallel_cap(unsigned budget, int shards);
 
 /// One point of a (scenario × scheme × seed) grid.
 struct GridCell {
@@ -82,13 +74,9 @@ class ExperimentRunner {
   /// Runs fn(0), ..., fn(count - 1) on the pool and blocks until all
   /// complete. fn is invoked concurrently; it must only touch state owned by
   /// its index. The first exception thrown by any invocation is rethrown
-  /// here after the batch drains. A non-zero `max_parallel` bounds how many
-  /// invocations run at once (the nested-parallelism arbiter for batches
-  /// whose tasks spawn their own threads — see resolve_parallel_cap);
-  /// 0 = the whole pool.
+  /// here after the batch drains.
   void for_each(std::size_t count,
-                const std::function<void(std::size_t)>& fn,
-                std::size_t max_parallel = 0);
+                const std::function<void(std::size_t)>& fn);
 
   /// Executes the full scenarios × schemes × seeds grid (seed innermost,
   /// scheme next, scenario outermost — the same order a serial triple loop
@@ -119,8 +107,6 @@ class ExperimentRunner {
   std::size_t job_count_ = 0;
   std::size_t next_index_ = 0;   // first unclaimed index of the batch
   std::size_t remaining_ = 0;    // claimed-or-unclaimed indices not yet done
-  std::size_t max_parallel_ = 0;  // concurrent-invocation cap; 0 = pool size
-  std::size_t active_ = 0;        // invocations currently executing
   std::exception_ptr first_error_;
   bool stopping_ = false;
 };

@@ -21,7 +21,6 @@ ScenarioParams ScenarioParams::from_env() {
   params.nodes = static_cast<NodeId>(env_int("SPIDER_NODES", 0));
   params.lp_max_pairs = env_int("SPIDER_LP_MAX_PAIRS", 0);
   params.paths_k = env_int("SPIDER_PATHS_K", 0);
-  params.shards = env_int("SPIDER_SHARDS", 0);
   params.topology_seed =
       static_cast<std::uint64_t>(env_int("SPIDER_SEED", 0));
   params.traffic_seed =
@@ -80,11 +79,10 @@ Resolved resolve(const ScenarioParams& p, const Defaults& d) {
 }
 
 /// Applies the knobs every scenario honours regardless of how it builds
-/// its trace: candidate paths, shards, and the sender-resilience /
+/// its trace: candidate paths and the sender-resilience /
 /// fault-seed overrides (all "0 = keep the config default").
 void apply_cross_knobs(SpiderConfig& config, const ScenarioParams& p) {
   if (p.paths_k > 0) config.num_paths = p.paths_k;
-  if (p.shards > 0) config.shards = p.shards;
   if (p.retry_limit > 0) config.sim.retry_limit = p.retry_limit;
   if (p.retry_backoff_ms > 0)
     config.sim.retry_backoff = milliseconds(p.retry_backoff_ms);
@@ -108,8 +106,8 @@ void apply_cross_knobs(SpiderConfig& config, const ScenarioParams& p) {
 }
 
 /// Finishes a scenario: synthesizes the trace over `graph` with `sizes`,
-/// applying the cross-scenario knobs (SPIDER_PATHS_K, SPIDER_SHARDS, the
-/// retry/fault overrides) to the config.
+/// applying the cross-scenario knobs (SPIDER_PATHS_K, the retry/fault
+/// overrides) to the config.
 ScenarioInstance materialize(std::string name, Graph graph,
                              SpiderConfig config, const Resolved& r,
                              const SizeDistribution& sizes,

@@ -36,7 +36,6 @@ struct ScenarioParams {
   NodeId nodes = 0;            // scalable families only  (SPIDER_NODES)
   int lp_max_pairs = 0;        // Spider (LP) pair cap    (SPIDER_LP_MAX_PAIRS)
   int paths_k = 0;             // candidate-path count    (SPIDER_PATHS_K)
-  int shards = 0;              // sharded-engine shards   (SPIDER_SHARDS)
   std::uint64_t topology_seed = 0;  //                    (SPIDER_SEED)
   std::uint64_t traffic_seed = 0;   //                    (SPIDER_TRAFFIC_SEED)
   /// Channel churn (scenarios that declare a ChurnSchedule): topology

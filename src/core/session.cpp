@@ -1,7 +1,5 @@
 #include "core/session.hpp"
 
-#include "core/shard.hpp"
-
 namespace spider {
 
 namespace {
@@ -61,10 +59,6 @@ struct SimSession::State {
   // Lifetime submission count — trace.size() no longer is one once a
   // replay starts releasing consumed entries.
   std::size_t submitted_total = 0;
-  // Sharded-engine runtime (config.shards > 1 only). Declared after the
-  // members it observes and destroyed first, so its worker threads are
-  // joined while the network/simulator they reference still exist.
-  std::unique_ptr<ShardExecutor> executor;
 
   State(const Graph& topology, const SpiderConfig& cfg, Scheme s,
         const SessionOptions& options, const PathCache* shared_paths)
@@ -79,14 +73,6 @@ struct SimSession::State {
     sim.begin(trace);
     sim.begin_topology(churn);
     sim.begin_faults(faults);
-    if (config.shards > 1) {
-      executor = std::make_unique<ShardExecutor>(
-          topology, config, scheme, shared_paths, options.demand_hint,
-          config.shards);
-      executor->bind(network, *router);
-      network.set_balance_listener(executor.get());
-      sim.set_speculator(executor.get());
-    }
   }
 };
 
@@ -202,9 +188,5 @@ Network& SimSession::network() {
 }
 
 const Network& SimSession::network() const { return state_->network; }
-
-const ShardExecutor* SimSession::shard_executor() const {
-  return state_->executor.get();
-}
 
 }  // namespace spider

@@ -45,8 +45,6 @@ EdgeId Network::open_channel(NodeId a, NodeId b, Amount capacity,
   hot_end_a_.push_back(a);
   onchain_inflow_ += capacity;
   ++generation_;
-  note_balance(e, 0);
-  note_balance(e, 1);
   return e;
 }
 
@@ -56,8 +54,6 @@ Amount Network::close_channel(EdgeId e) {
   graph_.close_edge(e);
   escrow_returned_ += swept;
   ++generation_;
-  note_balance(e, 0);
-  note_balance(e, 1);
   return swept;
 }
 
@@ -66,31 +62,6 @@ void Network::deposit_channel(EdgeId e, int side, Amount amount) {
   hot_sync(e);
   onchain_inflow_ += amount;
   ++generation_;
-  note_balance(e, side);
-}
-
-void Network::mirror_from(const Network& src) {
-  SPIDER_ASSERT_MSG(channels_.size() == src.channels_.size(),
-                    "mirror_from requires structurally identical networks");
-  channels_ = src.channels_;
-  hot_stale_ = true;  // O(E) copy anyway; rebuild lazily on first hot read
-  generation_ = src.generation_;
-  escrow_returned_ = src.escrow_returned_;
-  onchain_inflow_ = src.onchain_inflow_;
-}
-
-void Network::mirror_channels_from(const Network& src, const EdgeId* edges,
-                                   std::size_t count) {
-  SPIDER_ASSERT(channels_.size() == src.channels_.size());
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto e = static_cast<std::size_t>(edges[i]);
-    SPIDER_ASSERT(e < channels_.size());
-    channels_[e] = src.channels_[e];
-    hot_sync(edges[i]);
-  }
-  generation_ = src.generation_;
-  escrow_returned_ = src.escrow_returned_;
-  onchain_inflow_ = src.onchain_inflow_;
 }
 
 EdgeId Network::apply(const TopologyChange& change) {
@@ -168,7 +139,6 @@ void Network::lock_path(const Path& path, Amount amount) {
   for (std::size_t h = 0; h < hops; ++h) {
     ch(path.edges[h]).lock(side_scratch_[h], amount);
     hot_sync(path.edges[h]);
-    note_balance(path.edges[h], side_scratch_[h]);
   }
 }
 
@@ -178,7 +148,6 @@ void Network::settle_path(const Path& path, Amount amount) {
     const int side = c.side_of(path.nodes[h]);
     c.settle(side, amount);
     hot_sync(path.edges[h]);
-    note_balance(path.edges[h], 1 - side);  // settle credits the peer side
   }
 }
 
@@ -188,7 +157,6 @@ void Network::refund_path(const Path& path, Amount amount) {
     const int side = c.side_of(path.nodes[h]);
     c.refund(side, amount);
     hot_sync(path.edges[h]);
-    note_balance(path.edges[h], side);
   }
 }
 

@@ -32,7 +32,6 @@
 
 #include "graph/graph.hpp"
 #include "sim/channel.hpp"
-#include "sim/speculation.hpp"
 #include "sim/topology_event.hpp"
 
 namespace spider {
@@ -103,57 +102,29 @@ class Network {
     hot_stale_ = true;
   }
 
-  // --- Sharded-engine surface (see sim/speculation.hpp) ----------------
-
-  /// Attaches (or detaches, with nullptr) the balance-mutation observer.
-  /// Serial runs never attach one, so the notification branches below are
-  /// a never-taken null check on the hot path.
-  void set_balance_listener(BalanceListener* listener) {
-    listener_ = listener;
-  }
-
-  /// Single-hop mutations with listener notification — the simulator's
-  /// direct-channel-mutation sites route through these so a sharded run
-  /// observes every balance change. Semantics identical to calling the
-  /// channel method directly (deposit_one, unlike deposit_channel, does
-  /// NOT bump the topology generation: it is the §5.2.3 rebalancing path,
-  /// which historically moves funds without a topology event).
+  /// Single-hop mutations that keep the hot mirror in sync — the
+  /// simulator's direct-channel-mutation sites route through these.
+  /// Semantics identical to calling the channel method directly
+  /// (deposit_one, unlike deposit_channel, does NOT bump the topology
+  /// generation: it is the §5.2.3 rebalancing path, which historically
+  /// moves funds without a topology event).
   void lock_one(EdgeId e, int side, Amount amount) {
     ch(e).lock(side, amount);
     hot_sync(e);
-    note_balance(e, side);  // balance[side] shrank
   }
   void settle_one(EdgeId e, int side, Amount amount) {
     ch(e).settle(side, amount);
     hot_sync(e);
-    note_balance(e, 1 - side);  // settle credits the OTHER side's balance
   }
   void refund_one(EdgeId e, int side, Amount amount) {
     ch(e).refund(side, amount);
     hot_sync(e);
-    note_balance(e, side);  // inflight returned to side's own balance
   }
   void deposit_one(EdgeId e, int side, Amount amount) {
     ch(e).deposit(side, amount);
     onchain_inflow_ += amount;
     hot_sync(e);
-    note_balance(e, side);
   }
-
-  /// Overwrites every channel's runtime state (balances, inflight,
-  /// capacity, closed flag) plus the generation and escrow counters with
-  /// `src`'s. Requires structurally identical networks (same edge count —
-  /// the sharded runtime rebuilds the replica from src.graph() whenever
-  /// the topology generation moved, then mirrors). O(E), allocation-free
-  /// once sized.
-  void mirror_from(const Network& src);
-
-  /// Partial mirror: copies only the listed channels' state (the edges the
-  /// live run mutated since the last window), plus the bookkeeping
-  /// counters. The steady-state per-window replica sync is O(mutated
-  /// channels), not O(E).
-  void mirror_channels_from(const Network& src, const EdgeId* edges,
-                            std::size_t count);
 
   // --- Hot-state (SoA) surface -----------------------------------------
 
@@ -222,10 +193,6 @@ class Network {
     return channels_[static_cast<std::size_t>(e)];
   }
 
-  void note_balance(EdgeId e, int side) {
-    if (listener_ != nullptr) listener_->on_balance_mutation(e, side);
-  }
-
   /// Re-mirrors one edge's balances into the hot arrays after a mediated
   /// mutation. Two loads + two stores; the authoritative record was just
   /// touched so both lines are warm.
@@ -237,8 +204,7 @@ class Network {
   }
 
   /// Rebuilds the whole hot mirror from the authoritative channels (O(E));
-  /// runs lazily on the first hot read after note_external_mutation() or a
-  /// full mirror_from().
+  /// runs lazily on the first hot read after note_external_mutation().
   void refresh_hot() const;
 
   Graph graph_;  // private copy: churn never touches the shared topology
@@ -252,7 +218,6 @@ class Network {
   std::uint64_t generation_ = 0;
   Amount escrow_returned_ = 0;
   Amount onchain_inflow_ = 0;
-  BalanceListener* listener_ = nullptr;  // sharded runs only; else null
   // Per-hop side indices resolved once per lock_path and reused for the
   // mutation pass, so the hot path performs no allocation (the buffer only
   // ever grows) and no repeated endpoint lookups. A Network is owned by one

@@ -21,7 +21,6 @@ Simulator::Simulator(Network& network, Router& router, SimConfig config)
   SPIDER_ASSERT(config.retry_limit >= 0);
   SPIDER_ASSERT(config.retry_backoff >= 0);
   SPIDER_ASSERT(config.payment_deadline >= 0);
-  SPIDER_ASSERT(config.shard_lookahead >= 0);
   SPIDER_ASSERT(config.transport.mark_threshold > 0);
   SPIDER_ASSERT(config.transport.pace_interval >= 0);
   SPIDER_ASSERT(config.transport.initial_window > 0);
@@ -186,77 +185,11 @@ void Simulator::process_next() {
   }
 }
 
-Duration Simulator::shard_lookahead() const {
-  if (config_.shard_lookahead > 0) return config_.shard_lookahead;
-  // Auto: the minimum delay between an event and the earliest event it can
-  // schedule — hop_delay in router-queue mode, Δ in source-queue mode.
-  // (Polls and arrivals inside the window are covered by the job
-  // enumeration, not by the delay bound; a shorter window is always
-  // correct, merely less parallel.)
-  Duration look = config_.queueing == QueueingMode::kRouterQueue
-                      ? config_.hop_delay
-                      : config_.delta;
-  // A pace tick self-schedules pace_interval ahead, so with pacing on the
-  // window must not outrun it.
-  if (transport_on() && config_.transport.pace_interval > 0)
-    look = std::min(look, config_.transport.pace_interval);
-  return look;
-}
-
-void Simulator::open_shard_window(TimePoint end) {
-  spec_jobs_.clear();
-  // Upcoming arrivals, straight from the trace: the arrival CHAIN holds
-  // only one scheduled event at a time, so the window's future arrivals
-  // are enumerated from the trace itself.
-  for (std::size_t i = arrivals_.next; i < arrivals_.end(); ++i) {
-    const PaymentSpec& spec = arrivals_.at(i);
-    if (spec.arrival > end) break;
-    // Admission-refused payments never reach attempt(): no plan needed.
-    if (config_.admission_cap > 0 && spec.amount > config_.admission_cap)
-      continue;
-    spec_jobs_.push_back(SpecJob{static_cast<std::uint64_t>(i), spec.src,
-                                 spec.dst, spec.amount});
-  }
-  // Pending retries a poll round inside the window would re-attempt. The
-  // want is snapshotted at window start; a settle/refund that changes it
-  // before the poll simply fails the consume-time validation.
-  if (poll_scheduled_) {
-    for (const PendingEntry& entry : pending_) {
-      const Payment& p = payments_[entry.index];
-      if (p.status != PaymentStatus::kPending) continue;
-      const Amount want = p.remaining();
-      if (want <= 0) continue;
-      spec_jobs_.push_back(SpecJob{static_cast<std::uint64_t>(p.id), p.src,
-                                   p.dst, want});
-    }
-  }
-  speculator_->open_window(*network_, spec_jobs_.data(), spec_jobs_.size());
-}
-
 std::size_t Simulator::run_events_until(TimePoint horizon) {
   std::size_t processed = 0;
-  if (speculator_ == nullptr) {
-    while (!events_.empty() && events_.next_time() <= horizon) {
-      process_next();
-      ++processed;
-    }
-    return processed;
-  }
-  // Sharded mode: same pops, same order — but batched into lookahead
-  // windows so shard workers can plan the window's payments concurrently
-  // while this thread commits.
-  constexpr TimePoint kFar = std::numeric_limits<TimePoint>::max();
   while (!events_.empty() && events_.next_time() <= horizon) {
-    const TimePoint start = events_.next_time();
-    const Duration look = shard_lookahead();
-    TimePoint end = start > kFar - look ? kFar : start + look;
-    if (end > horizon) end = horizon;
-    open_shard_window(end);
-    while (!events_.empty() && events_.next_time() <= end) {
-      process_next();
-      ++processed;
-    }
-    speculator_->close_window();
+    process_next();
+    ++processed;
   }
   return processed;
 }
@@ -476,25 +409,12 @@ Amount Simulator::attempt(std::size_t payment_index, bool paced) {
     ++p.attempts;
   }
   if (transport_on()) router_->on_transport_clock(now());
-  // Routers are fault-oblivious (their plans stay byte-identical and the
-  // sharded replica needs no fault mirror); plans crossing a down node or
-  // a path this sender blacklisted are filtered HERE, at commit time.
+  // Routers are fault-oblivious (their plans stay byte-identical); plans
+  // crossing a down node or a path this sender blacklisted are filtered
+  // HERE, at commit time.
   const bool fault_filter = faults_.any_node_down() || !blacklists_.empty();
 
-  // Sharded runs: take the window's precomputed plan when the planner can
-  // prove it equals a fresh plan (core/shard.hpp's validation), else plan
-  // inline exactly like a serial run. Either way the plan content — and
-  // thus every downstream byte — is identical.
-  std::vector<ChunkPlan> fresh;
-  const std::vector<ChunkPlan>* speculated =
-      speculator_ != nullptr
-          ? speculator_->consume(static_cast<std::uint64_t>(p.id), want)
-          : nullptr;
-  if (speculated == nullptr) {
-    fresh = router_->plan(p, want, *network_, rng_);
-    speculated = &fresh;
-  }
-  const std::vector<ChunkPlan>& plan = *speculated;
+  const std::vector<ChunkPlan> plan = router_->plan(p, want, *network_, rng_);
   metrics_.plans_requested += 1;
 
   if (config_.queueing == QueueingMode::kRouterQueue) {
@@ -624,7 +544,7 @@ void Simulator::schedule_chunk_outcome(std::size_t chunk_index) {
   if (faults_.any_loss()) {
     // One Bernoulli draw per lossy channel the chunk crosses, in hop
     // order: each channel's stream advances exactly once per message that
-    // crosses it, on the commit thread — the determinism contract.
+    // crosses it, in event order — the determinism contract.
     for (const EdgeId e : chunk.path.edges) {
       if (faults_.drop_prob(e) <= 0.0) continue;
       if (faults_.draw_drop(e)) {

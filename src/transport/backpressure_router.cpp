@@ -15,12 +15,6 @@ void BackpressureRouter::init(const Network& network,
   paths_.init(network.graph(), num_paths_, selection_, context.shared_paths);
 }
 
-std::span<const Path> BackpressureRouter::plan_read_paths(
-    NodeId src, NodeId dst, const Network& network) {
-  paths_.sync(network.topology_generation());
-  return paths_.paths(src, dst);
-}
-
 Amount BackpressureRouter::path_backlog(const Path& path,
                                         const Network& network) const {
   if (queues_ == nullptr) return 0;

@@ -16,8 +16,8 @@
 //
 // Everything here is integer arithmetic over the engine's microsecond clock
 // and milli-XRP amounts — no floating-point state, no randomness — so the
-// controller is bit-deterministic and safe inside the serial==sharded and
-// streamed==batch identity contracts.
+// controller is bit-deterministic and safe inside the streamed==batch
+// identity contract.
 #pragma once
 
 #include <cstdint>
@@ -110,7 +110,7 @@ class AimdController {
 /// Per-path composition of the three pieces, plus in-flight accounting.
 /// Routers consult admissible() while planning, report sends, and feed acks
 /// and losses back; the simulator drives those hooks (Router::on_transport_*)
-/// in event order on the commit thread, so state here follows the engine's
+/// in event order, so state here follows the engine's
 /// deterministic schedule.
 class PathRateController {
  public:

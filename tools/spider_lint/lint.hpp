@@ -1,7 +1,7 @@
 // spider_lint — project-specific determinism & conservation static analysis.
 //
-// The engine's headline contracts (serial == sharded byte-identity,
-// streamed == batch, integer-exact money conservation) are enforced
+// The engine's headline contracts (fixed-seed byte-identity, streamed ==
+// batch, integer-exact money conservation) are enforced
 // dynamically by golden tests; this tool makes the *sources* of those bugs
 // fail the build before a test ever runs. It is a token-aware scanner over
 // plain source text — no libclang, so it builds wherever CI does — with a
