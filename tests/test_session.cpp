@@ -115,6 +115,120 @@ TEST(SimSession, GoldenFixedSeedMetricsSurviveRefactors) {
   EXPECT_DOUBLE_EQ(sm.sim_duration_s, 2.4869690000000002);
 }
 
+/// The aggregates a router-queue golden run pins: counts and volumes, the
+/// event total, and the counters each run exists to exercise.
+struct GoldenRun {
+  std::int64_t attempted_count;
+  Amount attempted_volume;
+  std::int64_t completed_count;
+  Amount completed_volume;
+  Amount delivered_volume;
+  std::int64_t expired_count;
+  std::int64_t rejected_count;
+  std::int64_t chunks_sent;
+  std::uint64_t events_processed;
+  std::int64_t queue_timeouts;
+  std::int64_t chunks_marked;
+  std::int64_t pace_rounds;
+  std::int64_t chunks_churned;
+  std::int64_t messages_dropped;
+  std::int64_t chunks_faulted;
+  std::int64_t queue_waits;
+  double queue_wait_mean_s;
+  double sim_duration_s;
+};
+
+void expect_golden(const SimMetrics& m, const GoldenRun& g) {
+  EXPECT_EQ(m.attempted_count, g.attempted_count);
+  EXPECT_EQ(m.attempted_volume, g.attempted_volume);
+  EXPECT_EQ(m.completed_count, g.completed_count);
+  EXPECT_EQ(m.completed_volume, g.completed_volume);
+  EXPECT_EQ(m.delivered_volume, g.delivered_volume);
+  EXPECT_EQ(m.expired_count, g.expired_count);
+  EXPECT_EQ(m.rejected_count, g.rejected_count);
+  EXPECT_EQ(m.chunks_sent, g.chunks_sent);
+  EXPECT_EQ(m.events_processed, g.events_processed);
+  EXPECT_EQ(m.queue_timeouts, g.queue_timeouts);
+  EXPECT_EQ(m.chunks_marked, g.chunks_marked);
+  EXPECT_EQ(m.pace_rounds, g.pace_rounds);
+  EXPECT_EQ(m.chunks_churned, g.chunks_churned);
+  EXPECT_EQ(m.messages_dropped, g.messages_dropped);
+  EXPECT_EQ(m.chunks_faulted, g.chunks_faulted);
+  EXPECT_EQ(m.queue_wait_s.count(), g.queue_waits);
+  EXPECT_DOUBLE_EQ(m.queue_wait_s.mean(), g.queue_wait_mean_s);
+  EXPECT_DOUBLE_EQ(m.sim_duration_s, g.sim_duration_s);
+}
+
+SimMetrics run_golden(const std::string& name, int transport,
+                      QueueingMode queueing, Scheme scheme) {
+  ScenarioParams params;
+  params.payments = 1500;
+  params.traffic_seed = 21;
+  params.transport = transport;
+  ScenarioInstance scenario = build_scenario(name, params);
+  scenario.config.sim.queueing = queueing;
+  const SpiderNetwork net(scenario.graph, scenario.config);
+  return net.run(scheme, scenario.trace, 42, scenario.churn, scenario.faults);
+}
+
+// Pinned at the engine that still wrote the chunk lifecycle once per
+// queueing mode (1500 payments, traffic seed 21, sim seed 42). Each run
+// exists for one mechanism and asserts its counter is live, so a refactor
+// of the lock/settle/abort/dequeue paths cannot pass by never reaching
+// them: queue timeouts, marks and pace rounds (isp with the transport on),
+// churn of queued and locked units (router-queue partition-heal), drop
+// aborts (router-queue lossy-network), atomic sibling rollback
+// (source-queue SpeedyMurmurs on partition-heal) and grief refunds
+// (source-queue griefing).
+TEST(SimSession, GoldenRouterQueueMetricsSurviveRefactors) {
+  const QueueingMode rq = QueueingMode::kRouterQueue;
+  const QueueingMode sq = QueueingMode::kSourceQueue;
+
+  const SimMetrics dctcp = run_golden("isp", 1, rq, Scheme::kSpiderDctcp);
+  expect_golden(dctcp, {1500, 239111494, 1220, 168410264, 190663213, 280, 0,
+                        4825, 14126u, 2415, 820, 89, 0, 0, 0, 3351,
+                        0.850333871680095, 10.310181});
+  EXPECT_GT(dctcp.queue_timeouts, 0);
+  EXPECT_GT(dctcp.chunks_marked, 0);
+  EXPECT_GT(dctcp.pace_rounds, 0);
+
+  const SimMetrics bp = run_golden("isp", 1, rq, Scheme::kBackpressure);
+  expect_golden(bp, {1500, 239111494, 1263, 178084561, 189555539, 237, 0,
+                     3481, 10327u, 1774, 675, 74, 0, 0, 0, 2530,
+                     0.86114792411067198, 10.358561999999999});
+  EXPECT_GT(bp.queue_timeouts, 0);
+  EXPECT_GT(bp.chunks_marked, 0);
+  EXPECT_GT(bp.pace_rounds, 0);
+
+  const SimMetrics churn_rq =
+      run_golden("partition-heal", 0, rq, Scheme::kSpiderWaterfilling);
+  expect_golden(churn_rq, {1500, 492284471, 1217, 336485424, 381098003, 283,
+                           0, 4173, 13554u, 1046, 0, 0, 174, 0, 0, 1743,
+                           0.77200659896729773, 9.8849870000000006});
+  EXPECT_GT(churn_rq.chunks_churned, 0);
+
+  const SimMetrics lossy_rq =
+      run_golden("lossy-network", 0, rq, Scheme::kSpiderWaterfilling);
+  expect_golden(lossy_rq, {1500, 239111494, 1204, 166684401, 185814902, 296,
+                           0, 3003, 9161u, 414, 0, 0, 0, 234, 234, 745,
+                           0.70604111543624215, 8.8119399999999999});
+  EXPECT_GT(lossy_rq.chunks_faulted, 0);
+
+  const SimMetrics atomic_sq =
+      run_golden("partition-heal", 0, sq, Scheme::kSpeedyMurmurs);
+  expect_golden(atomic_sq, {1500, 492284471, 616, 152418666, 152418666, 0,
+                            884, 2142, 3810u, 0, 0, 0, 294, 0, 0, 0, 0.0,
+                            4.4244750000000002});
+  EXPECT_GT(atomic_sq.chunks_churned, 0);
+
+  const SimMetrics grief_sq =
+      run_golden("griefing", 0, sq, Scheme::kSpiderWaterfilling);
+  expect_golden(grief_sq, {1702, 502384471, 1229, 324145011, 355335775, 473,
+                           0, 2802, 4527u, 0, 0, 0, 0, 0, 195, 0, 0.0,
+                           9.1792490000000004});
+  EXPECT_GT(grief_sq.chunks_faulted, 0);
+}
+
 TEST(SimSession, EmptySessionDrainsToZeroMetrics) {
   const ScenarioInstance scenario = small_isp();
   const SpiderNetwork net(scenario.graph, scenario.config);
