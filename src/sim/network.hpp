@@ -112,10 +112,6 @@ class Network {
     ch(e).lock(side, amount);
     hot_sync(e);
   }
-  void settle_one(EdgeId e, int side, Amount amount) {
-    ch(e).settle(side, amount);
-    hot_sync(e);
-  }
   void refund_one(EdgeId e, int side, Amount amount) {
     ch(e).refund(side, amount);
     hot_sync(e);

@@ -417,10 +417,14 @@ Amount Simulator::attempt(std::size_t payment_index, bool paced) {
   const std::vector<ChunkPlan> plan = router_->plan(p, want, *network_, rng_);
   metrics_.plans_requested += 1;
 
+  // The lock policy is the only thing the queueing mode decides: every
+  // chunk holds locks on hops [0, hops_locked), and settles, aborts and
+  // queue service all read that prefix.
+  Amount locked_total = 0;
   if (config_.queueing == QueueingMode::kRouterQueue) {
-    // §4.2 mode: lock only the FIRST hop; the unit then travels hop by hop
-    // and waits inside channel queues when a downstream hop is dry.
-    Amount locked_total = 0;
+    // §4.2: lock only the FIRST hop and commit the unit at once; it then
+    // travels hop by hop and waits inside channel queues when a
+    // downstream hop is dry.
     for (const ChunkPlan& chunk : plan) {
       Amount amount = std::min(chunk.amount, want - locked_total);
       if (config_.mtu > 0) amount = std::min(amount, config_.mtu);
@@ -445,88 +449,75 @@ Amount Simulator::attempt(std::size_t payment_index, bool paced) {
       p.inflight += amount;
       p.ever_locked = true;
       locked_total += amount;
-      metrics_.chunks_sent += 1;
-      metrics_.chunk_hops.add(
-          static_cast<double>(inflight_[ci].path.length()));
-      if (transport_on())
-        router_->on_transport_send(inflight_[ci].path, amount, now());
-      for (SimObserver* observer : observers_)
-        observer->on_chunk_locked(inflight_[ci].path, amount, now());
-      schedule_hop_travel(ci);
+      commit_chunk(ci, /*hop_by_hop=*/true);
       if (locked_total >= want) break;
     }
-    if (!paced && config_.retry_backoff > 0) arm_retry_backoff(p);
-    return locked_total;
-  }
-
-  // Source-queue mode (§6.1): validate and lock whole paths sequentially.
-  // Atomic payments must lock the full amount or nothing.
-  std::vector<std::size_t> locked_chunks;
-  Amount locked_total = 0;
-  for (const ChunkPlan& chunk : plan) {
-    Amount amount = std::min(chunk.amount, want - locked_total);
-    if (config_.mtu > 0 && !p.atomic) amount = std::min(amount, config_.mtu);
-    if (amount <= 0) continue;
-    SPIDER_ASSERT_MSG(chunk.path != nullptr && !chunk.path->empty() &&
-                          chunk.path->source() == p.src &&
-                          chunk.path->destination() == p.dst,
-                      "router produced a foreign path");
-    const Path& path = *chunk.path;
-    if (fault_filter && path_fault_blocked(payment_index, path)) {
-      // For an atomic payment a blocked path leaves locked_total < want,
-      // so the all-or-nothing rollback below fires as it should.
-      p.fault_hit = true;
-      continue;
-    }
-    if (!network_->can_send(path, amount)) {
-      if (!p.atomic) {
+  } else {
+    // §6.1: lock whole paths first and commit them together, so an atomic
+    // payment that falls short rolls every lock back before anything is
+    // scheduled or observed.
+    std::vector<std::size_t> locked_chunks;
+    for (const ChunkPlan& chunk : plan) {
+      Amount amount = std::min(chunk.amount, want - locked_total);
+      if (config_.mtu > 0 && !p.atomic) amount = std::min(amount, config_.mtu);
+      if (amount <= 0) continue;
+      SPIDER_ASSERT_MSG(chunk.path != nullptr && !chunk.path->empty() &&
+                            chunk.path->source() == p.src &&
+                            chunk.path->destination() == p.dst,
+                        "router produced a foreign path");
+      const Path& path = *chunk.path;
+      if (fault_filter && path_fault_blocked(payment_index, path)) {
+        // For an atomic payment a blocked path leaves locked_total < want,
+        // so the all-or-nothing rollback below fires as it should.
+        p.fault_hit = true;
+        continue;
+      }
+      if (!network_->can_send(path, amount)) {
+        // Jointly infeasible atomic plan: locked_total < want, so the
+        // rollback below undoes everything.
+        if (p.atomic) break;
         // Take whatever the path still supports.
         amount = std::min(amount, network_->path_bottleneck(path));
         if (amount <= 0) continue;
-      } else {
-        // Jointly infeasible atomic plan: roll back everything.
-        for (std::size_t ci : locked_chunks) {
-          network_->refund_path(inflight_[ci].path, inflight_[ci].amount);
-          release_chunk_slot(ci);
-        }
-        p.inflight = 0;
-        return 0;
       }
+      network_->lock_path(path, amount);
+      const std::size_t ci = new_chunk(path, amount, payment_index);
+      inflight_[ci].hops_locked = path.length();
+      locked_chunks.push_back(ci);
+      locked_total += amount;
+      p.inflight += amount;
+      p.ever_locked = true;
+      if (locked_total >= want) break;
     }
-    network_->lock_path(path, amount);
-    const std::size_t ci = new_chunk(path, amount, payment_index);
-    locked_chunks.push_back(ci);
-    locked_total += amount;
-    p.inflight += amount;
-    p.ever_locked = true;
-    if (locked_total >= want) break;
-  }
 
-  if (p.atomic && locked_total < want) {
-    // Plan covered less than the full amount: atomic failure.
-    for (std::size_t ci : locked_chunks) {
-      network_->refund_path(inflight_[ci].path, inflight_[ci].amount);
-      release_chunk_slot(ci);
+    if (p.atomic && locked_total < want) {
+      // Plan covered less than the full amount: atomic failure.
+      for (std::size_t ci : locked_chunks) {
+        network_->refund_path(inflight_[ci].path, inflight_[ci].amount);
+        release_chunk_slot(ci);
+      }
+      p.inflight = 0;
+      return 0;
     }
-    p.inflight = 0;
-    return 0;
-  }
-
-  // Schedule settlement Δ after the send (or, under faults, the chunk's
-  // loss/grief refund — see schedule_chunk_outcome).
-  for (std::size_t ci : locked_chunks) {
-    metrics_.chunks_sent += 1;
-    metrics_.chunk_hops.add(static_cast<double>(inflight_[ci].path.length()));
-    if (transport_on())
-      router_->on_transport_send(inflight_[ci].path, inflight_[ci].amount,
-                                 now());
-    for (SimObserver* observer : observers_)
-      observer->on_chunk_locked(inflight_[ci].path, inflight_[ci].amount,
-                                now());
-    schedule_chunk_outcome(ci);
+    for (std::size_t ci : locked_chunks)
+      commit_chunk(ci, /*hop_by_hop=*/false);
   }
   if (!paced && !p.atomic && config_.retry_backoff > 0) arm_retry_backoff(p);
   return locked_total;
+}
+
+void Simulator::commit_chunk(std::size_t chunk_index, bool hop_by_hop) {
+  const InflightChunk& chunk = inflight_[chunk_index];
+  metrics_.chunks_sent += 1;
+  metrics_.chunk_hops.add(static_cast<double>(chunk.path.length()));
+  if (transport_on())
+    router_->on_transport_send(chunk.path, chunk.amount, now());
+  for (SimObserver* observer : observers_)
+    observer->on_chunk_locked(chunk.path, chunk.amount, now());
+  if (hop_by_hop)
+    schedule_hop_travel(chunk_index);
+  else
+    schedule_chunk_outcome(chunk_index);
 }
 
 void Simulator::arm_retry_backoff(Payment& p) {
@@ -595,40 +586,11 @@ void Simulator::accrue_fees(const Path& path, Amount amount) {
 }
 
 void Simulator::handle_settle(std::size_t chunk_index, std::uint64_t stamp) {
-  SPIDER_ASSERT(config_.queueing == QueueingMode::kSourceQueue);
-  // Work on the slot in place (nothing below touches the chunk table) and
-  // recycle it at the end, so the path buffers stay pooled.
-  const InflightChunk& chunk = inflight_[chunk_index];
-  // A mismatched stamp means a channel close churned this chunk after its
+  // A mismatched stamp means a close or fault refunded this chunk after its
   // settle was scheduled (release zeroed the stamp, or the slot carries a
-  // fresh acquisition): the funds were already refunded, nothing to do.
-  // In a zero-churn run stamps always match.
-  if (chunk.stamp != stamp) return;
-  // Settle events are only scheduled for committed chunks, and a committed
-  // chunk's slot is released nowhere but here or a churn abort (stamp
-  // checked above) — so the slot must be live. (Atomic rollbacks in
-  // attempt() release their slots before any settle is scheduled.) A zero
-  // amount would mean a stale event hit a recycled slot: corruption, not a
-  // condition to skip quietly.
-  SPIDER_ASSERT(chunk.amount > 0);
-
-  network_->settle_path(chunk.path, chunk.amount);
-  accrue_fees(chunk.path, chunk.amount);
-  Payment& p = payments_[chunk.payment];
-  SPIDER_ASSERT(p.inflight >= chunk.amount);
-  p.inflight -= chunk.amount;
-  p.delivered += chunk.amount;
-  metrics_.delivered_volume += chunk.amount;
-  // Source-queue mode has no router queues, so the ack never carries a mark.
-  if (transport_on())
-    router_->on_transport_ack(chunk.path, chunk.amount, /*marked=*/false,
-                              now() - chunk.sent_at, now());
-  for (SimObserver* observer : observers_)
-    observer->on_chunk_settled(chunk.path, chunk.amount, now());
-
-  if (p.status == PaymentStatus::kPending && p.delivered == p.total)
-    finish_payment(chunk.payment, PaymentStatus::kCompleted);
-  release_chunk_slot(chunk_index);
+  // fresh acquisition): nothing to do. In an undisturbed run stamps match.
+  if (inflight_[chunk_index].stamp != stamp) return;
+  complete_chunk(chunk_index);
 }
 
 void Simulator::handle_hop_arrive(std::size_t chunk_index,
@@ -653,10 +615,9 @@ void Simulator::handle_hop_arrive(std::size_t chunk_index,
   }
   // The "fail at the next hop" arm of a channel close: a unit whose next
   // hop closed under it rolls back instead of queueing on a dead channel.
-  if (network_->graph().edge_closed(chunk.path.edges[chunk.hops_locked])) {
-    metrics_.chunks_churned += 1;
-    payments_[chunk.payment].churn_hit = true;
-    abort_chunk(chunk_index);
+  const EdgeId next = chunk.path.edges[chunk.hops_locked];
+  if (network_->graph().edge_closed(next)) {
+    abort_chunk(chunk_index, next, AbortCause::kChurn);
     return;
   }
   if (try_lock_next_hop(chunk_index)) {
@@ -664,14 +625,13 @@ void Simulator::handle_hop_arrive(std::size_t chunk_index,
     return;
   }
   // Dry channel: wait inside its queue (Fig. 3), upstream locks held.
-  const EdgeId edge = chunk.path.edges[chunk.hops_locked];
-  const Channel& ch = network_->channel(edge);
-  const int side = ch.side_of(chunk.path.nodes[chunk.hops_locked]);
+  const int side =
+      network_->channel(next).side_of(chunk.path.nodes[chunk.hops_locked]);
   chunk.queued = true;
   chunk.queued_at = now();
   chunk.stamp = next_stamp_++;
-  queue_push_back(edge, side, chunk_index);
-  transport_queues_.on_enqueue(static_cast<std::size_t>(edge), side,
+  queue_push_back(next, side, chunk_index);
+  transport_queues_.on_enqueue(static_cast<std::size_t>(next), side,
                                chunk.amount);
   metrics_.chunks_queued += 1;
   push_event(now() + config_.queue_timeout, EventKind::kQueueTimeout,
@@ -694,13 +654,12 @@ void Simulator::complete_chunk(std::size_t chunk_index) {
   // chunks' state (it never grows the chunk table), so the reference stays
   // valid; the slot is recycled at the very end.
   const InflightChunk& chunk = inflight_[chunk_index];
+  // A zero amount would mean a stale event hit a recycled slot: corruption,
+  // not a condition to skip quietly.
+  SPIDER_ASSERT(chunk.amount > 0);
   SPIDER_ASSERT(chunk.hops_locked == chunk.path.length());
 
-  for (std::size_t h = 0; h < chunk.path.edges.size(); ++h) {
-    const Channel& ch = network_->channel(chunk.path.edges[h]);
-    network_->settle_one(chunk.path.edges[h],
-                         ch.side_of(chunk.path.nodes[h]), chunk.amount);
-  }
+  network_->settle_path(chunk.path, chunk.amount);
   accrue_fees(chunk.path, chunk.amount);
   Payment& p = payments_[chunk.payment];
   SPIDER_ASSERT(p.inflight >= chunk.amount);
@@ -726,92 +685,115 @@ void Simulator::complete_chunk(std::size_t chunk_index) {
   release_chunk_slot(chunk_index);
 }
 
-void Simulator::abort_chunk(std::size_t chunk_index) {
+void Simulator::abort_chunk(std::size_t chunk_index, EdgeId closing,
+                            AbortCause cause) {
   const InflightChunk& chunk = inflight_[chunk_index];
-  SPIDER_ASSERT(!chunk.queued);
+  SPIDER_ASSERT(chunk.amount > 0);
+  // Bank accounting only — the unit is failing, so the loss feedback below
+  // already drives the controller's decrease; no mark counted.
+  if (chunk.queued) (void)leave_queue(chunk_index);
   for (std::size_t h = 0; h < chunk.hops_locked; ++h) {
     const Channel& ch = network_->channel(chunk.path.edges[h]);
     network_->refund_one(chunk.path.edges[h],
                          ch.side_of(chunk.path.nodes[h]), chunk.amount);
   }
-  Payment& p = payments_[chunk.payment];
+  const std::size_t payment_index = chunk.payment;
+  Payment& p = payments_[payment_index];
   SPIDER_ASSERT(p.inflight >= chunk.amount);
   p.inflight -= chunk.amount;
+  switch (cause) {
+    case AbortCause::kTimeout: metrics_.queue_timeouts += 1; break;
+    case AbortCause::kChurn:
+      metrics_.chunks_churned += 1;
+      p.churn_hit = true;
+      break;
+    case AbortCause::kFault:
+      metrics_.chunks_faulted += 1;
+      p.fault_hit = true;
+      break;
+  }
   if (transport_on())
     router_->on_transport_loss(chunk.path, chunk.amount, now());
-  // The refunded remainder becomes sendable again — unless the deadline
-  // already passed, in which case the payment must be expired HERE: it may
-  // have left the pending set (everything inflight), so no poll round will
-  // ever see it again, and skipping it would leak a forever-kPending
-  // payment that no terminal counter records.
-  if (p.status == PaymentStatus::kPending && p.remaining() > 0) {
-    if (now() < p.deadline)
-      ensure_pending(chunk.payment);
-    else
-      expire(chunk.payment);
-  }
-  // Refunds credited the upstream side of the locked hops.
+  // Refunds credited the upstream side of the locked hops: serve their
+  // waiters — but never on a closing channel itself, since re-locking funds
+  // on it would strand them mid-sweep.
   for (std::size_t h = 0; h < chunk.hops_locked; ++h) {
+    if (chunk.path.edges[h] == closing) continue;
     const Channel& ch = network_->channel(chunk.path.edges[h]);
     serve_channel_queue(chunk.path.edges[h],
                         ch.side_of(chunk.path.nodes[h]));
   }
-  release_chunk_slot(chunk_index);
+  release_chunk_slot(chunk_index);  // zeroes the stamp: pending events die
+
+  if (p.atomic) {
+    // All-or-nothing delivery is broken: the payment fails and its sibling
+    // chunks roll back too.
+    if (p.status == PaymentStatus::kPending)
+      finish_payment(payment_index, PaymentStatus::kRejected);
+    for (std::size_t other = 0; other < inflight_.size(); ++other) {
+      const InflightChunk& sibling = inflight_[other];
+      if (sibling.amount > 0 && sibling.payment == payment_index)
+        abort_chunk(other, closing, cause);
+    }
+  } else if (p.status == PaymentStatus::kPending && p.remaining() > 0) {
+    // The refunded remainder becomes sendable again — unless the deadline
+    // already passed, in which case the payment must be expired HERE: it
+    // may have left the pending set (everything inflight), so no poll round
+    // will ever see it again, and skipping it would leak a forever-kPending
+    // payment that no terminal counter records.
+    if (now() < p.deadline)
+      ensure_pending(payment_index);
+    else
+      expire(payment_index);
+  }
+}
+
+bool Simulator::leave_queue(std::size_t chunk_index) {
+  InflightChunk& chunk = inflight_[chunk_index];
+  SPIDER_ASSERT(chunk.queued);
+  const EdgeId edge = chunk.path.edges[chunk.hops_locked];
+  const int side =
+      network_->channel(edge).side_of(chunk.path.nodes[chunk.hops_locked]);
+  queue_remove(edge, side, chunk_index);  // O(1) via the intrusive links
+  chunk.queued = false;
+  const Duration wait = now() - chunk.queued_at;
+  metrics_.queue_wait_s.add(to_seconds(wait));
+  queue_wait_samples_.push_back(to_seconds(wait));
+  return transport_queues_.on_dequeue(static_cast<std::size_t>(edge), side,
+                                      chunk.amount, wait);
 }
 
 void Simulator::handle_queue_timeout(std::size_t chunk_index,
                                      std::uint64_t stamp) {
-  InflightChunk& chunk = inflight_[chunk_index];
+  const InflightChunk& chunk = inflight_[chunk_index];
   if (!chunk.queued || chunk.stamp != stamp) return;  // served meanwhile
   const EdgeId edge = chunk.path.edges[chunk.hops_locked];
-  const Channel& ch = network_->channel(edge);
-  const int side = ch.side_of(chunk.path.nodes[chunk.hops_locked]);
-  queue_remove(edge, side, chunk_index);  // O(1) via the intrusive links
-  chunk.queued = false;
-  // Bank accounting only — a timed-out unit aborts below, and the loss
-  // feedback already triggers the controller's decrease; no mark counted.
-  (void)transport_queues_.on_dequeue(static_cast<std::size_t>(edge), side,
-                                     chunk.amount, now() - chunk.queued_at);
-  metrics_.queue_timeouts += 1;
-  metrics_.queue_wait_s.add(to_seconds(now() - chunk.queued_at));
-  queue_wait_samples_.push_back(to_seconds(now() - chunk.queued_at));
-  abort_chunk(chunk_index);
+  const int side =
+      network_->channel(edge).side_of(chunk.path.nodes[chunk.hops_locked]);
+  abort_chunk(chunk_index, kInvalidEdge, AbortCause::kTimeout);
   // The departed unit may have been the head-of-line blocker: smaller units
   // behind it can possibly be served from the funds already there.
   serve_channel_queue(edge, side);
 }
 
 void Simulator::serve_channel_queue(EdgeId edge, int side) {
-  if (config_.queueing != QueueingMode::kRouterQueue) return;
   ChannelQueue& queue = channel_queues_[static_cast<std::size_t>(edge)]
                                        [static_cast<std::size_t>(side)];
   while (queue.head >= 0) {
     const auto ci = static_cast<std::size_t>(queue.head);
     InflightChunk& chunk = inflight_[ci];
-    SPIDER_ASSERT(chunk.queued);
-    Channel& ch = network_->channel(edge);
-    if (!ch.can_lock(side, chunk.amount)) break;  // head-of-line blocking
-    queue_remove(edge, side, ci);
+    if (!network_->channel(edge).can_lock(side, chunk.amount))
+      break;  // head-of-line blocking
+    const bool over_threshold = leave_queue(ci);
+    if (transport_on() && over_threshold && !chunk.marked) {
+      chunk.marked = true;  // one bit: further marks on the unit are no-ops
+      transport_queues_.count_mark();
+      metrics_.chunks_marked += 1;
+    }
     network_->lock_one(edge, side, chunk.amount);
     ++chunk.hops_locked;
-    chunk.queued = false;
-    note_dequeue(ci, edge, side, now() - chunk.queued_at);
-    metrics_.queue_wait_s.add(to_seconds(now() - chunk.queued_at));
-    queue_wait_samples_.push_back(to_seconds(now() - chunk.queued_at));
     chunk.stamp = next_stamp_++;  // invalidate the pending timeout
     schedule_hop_travel(ci);
-  }
-}
-
-void Simulator::note_dequeue(std::size_t chunk_index, EdgeId edge, int side,
-                             Duration wait) {
-  InflightChunk& chunk = inflight_[chunk_index];
-  const bool over_threshold = transport_queues_.on_dequeue(
-      static_cast<std::size_t>(edge), side, chunk.amount, wait);
-  if (transport_on() && over_threshold && !chunk.marked) {
-    chunk.marked = true;  // one bit: further marks on the unit are no-ops
-    transport_queues_.count_mark();
-    metrics_.chunks_marked += 1;
   }
 }
 
@@ -938,104 +920,24 @@ void Simulator::handle_topology(std::size_t change_index) {
 }
 
 void Simulator::churn_fail_channel(EdgeId closing) {
-  if (config_.queueing == QueueingMode::kRouterQueue) {
-    // Units waiting inside the closing channel's queues go first: their
-    // next hop is about to vanish, so they roll back like a timeout would.
-    for (int side = 0; side < 2; ++side) {
-      const ChannelQueue& queue =
-          channel_queues_[static_cast<std::size_t>(closing)]
-                         [static_cast<std::size_t>(side)];
-      while (queue.head >= 0)
-        forced_abort_chunk(static_cast<std::size_t>(queue.head), closing,
-                           AbortCause::kChurn);
-    }
+  // Units waiting inside the closing channel's queues go first: their next
+  // hop is about to vanish, so they roll back like a timeout would.
+  for (int side = 0; side < 2; ++side) {
+    const ChannelQueue& queue =
+        channel_queues_[static_cast<std::size_t>(closing)]
+                       [static_cast<std::size_t>(side)];
+    while (queue.head >= 0)
+      abort_chunk(static_cast<std::size_t>(queue.head), closing,
+                  AbortCause::kChurn);
   }
-  // Then every chunk still holding locked funds on the channel: in
-  // source-queue mode a committed chunk holds funds at every hop; in
-  // router-queue mode on its locked prefix.
+  // Then every chunk still holding locked funds on the channel.
   for (std::size_t ci = 0; ci < inflight_.size(); ++ci) {
     const InflightChunk& chunk = inflight_[ci];
     if (chunk.amount <= 0) continue;
-    const std::size_t holds =
-        config_.queueing == QueueingMode::kRouterQueue
-            ? chunk.hops_locked
-            : chunk.path.edges.size();
     bool affected = false;
-    for (std::size_t h = 0; h < holds && !affected; ++h)
+    for (std::size_t h = 0; h < chunk.hops_locked && !affected; ++h)
       affected = chunk.path.edges[h] == closing;
-    if (affected) forced_abort_chunk(ci, closing, AbortCause::kChurn);
-  }
-}
-
-void Simulator::forced_abort_chunk(std::size_t chunk_index, EdgeId closing,
-                                   AbortCause cause) {
-  InflightChunk& chunk = inflight_[chunk_index];
-  SPIDER_ASSERT(chunk.amount > 0);
-  if (chunk.queued) {
-    const EdgeId qe = chunk.path.edges[chunk.hops_locked];
-    const Channel& qch = network_->channel(qe);
-    const int qside = qch.side_of(chunk.path.nodes[chunk.hops_locked]);
-    queue_remove(qe, qside, chunk_index);
-    chunk.queued = false;
-    // Bank accounting only — the unit is failing, so the loss feedback
-    // below already drives the controller's decrease; no mark counted.
-    (void)transport_queues_.on_dequeue(static_cast<std::size_t>(qe), qside,
-                                       chunk.amount, now() - chunk.queued_at);
-    metrics_.queue_wait_s.add(to_seconds(now() - chunk.queued_at));
-    queue_wait_samples_.push_back(to_seconds(now() - chunk.queued_at));
-  }
-  const std::size_t locked_hops =
-      config_.queueing == QueueingMode::kRouterQueue
-          ? chunk.hops_locked
-          : chunk.path.edges.size();
-  for (std::size_t h = 0; h < locked_hops; ++h) {
-    const Channel& ch = network_->channel(chunk.path.edges[h]);
-    network_->refund_one(chunk.path.edges[h],
-                         ch.side_of(chunk.path.nodes[h]), chunk.amount);
-  }
-  const std::size_t payment_index = chunk.payment;
-  Payment& p = payments_[payment_index];
-  SPIDER_ASSERT(p.inflight >= chunk.amount);
-  p.inflight -= chunk.amount;
-  if (cause == AbortCause::kChurn) {
-    metrics_.chunks_churned += 1;
-    p.churn_hit = true;
-  } else {
-    metrics_.chunks_faulted += 1;
-    p.fault_hit = true;
-  }
-  if (transport_on())
-    router_->on_transport_loss(chunk.path, chunk.amount, now());
-  // Serve waiters on the released upstream hops — but never on the closing
-  // channel itself: re-locking funds on it would strand them mid-sweep
-  // (kInvalidEdge for fault aborts: every released hop may admit waiters).
-  for (std::size_t h = 0; h < locked_hops; ++h) {
-    if (chunk.path.edges[h] == closing) continue;
-    const Channel& ch = network_->channel(chunk.path.edges[h]);
-    serve_channel_queue(chunk.path.edges[h],
-                        ch.side_of(chunk.path.nodes[h]));
-  }
-  release_chunk_slot(chunk_index);  // zeroes the stamp: pending events die
-
-  if (p.atomic) {
-    // All-or-nothing delivery is broken: the payment fails and its sibling
-    // chunks (untouched by the closing channel) roll back too.
-    if (p.status == PaymentStatus::kPending)
-      finish_payment(payment_index, PaymentStatus::kRejected);
-    for (std::size_t other = 0; other < inflight_.size(); ++other) {
-      if (other == chunk_index) continue;
-      const InflightChunk& sibling = inflight_[other];
-      if (sibling.amount > 0 && sibling.payment == payment_index)
-        forced_abort_chunk(other, closing, cause);
-    }
-  } else if (p.status == PaymentStatus::kPending && p.remaining() > 0) {
-    // The refunded remainder becomes sendable again at the next poll; past
-    // the deadline the payment expires here instead (it may no longer be in
-    // the pending set, so no poll would ever expire it — see abort_chunk).
-    if (now() < p.deadline)
-      ensure_pending(payment_index);
-    else
-      expire(payment_index);
+    if (affected) abort_chunk(ci, closing, AbortCause::kChurn);
   }
 }
 
@@ -1120,7 +1022,7 @@ void Simulator::fault_fail_node(NodeId node) {
         break;
       }
     }
-    if (crosses) forced_abort_chunk(ci, kInvalidEdge, AbortCause::kFault);
+    if (crosses) abort_chunk(ci, kInvalidEdge, AbortCause::kFault);
   }
 }
 
@@ -1134,7 +1036,7 @@ void Simulator::handle_chunk_fault(std::size_t chunk_index,
   SPIDER_ASSERT(!chunk.queued);
   // The sender watched this path swallow a unit: skip it on retries.
   blacklist_path(chunk.payment, chunk.path);
-  forced_abort_chunk(chunk_index, kInvalidEdge, AbortCause::kFault);
+  abort_chunk(chunk_index, kInvalidEdge, AbortCause::kFault);
 }
 
 bool Simulator::path_fault_blocked(std::size_t payment_index,

@@ -238,8 +238,9 @@ class Simulator {
     Path path;
     Amount amount = 0;
     std::size_t payment = 0;  // index into payments_
-    // Router-queue mode state:
-    std::size_t hops_locked = 0;   // hops [0, hops_locked) hold our funds
+    // Hops [0, hops_locked) hold our funds: the whole path once a
+    // source-queue chunk locks, the travelled prefix in router-queue mode.
+    std::size_t hops_locked = 0;
     bool queued = false;           // waiting inside a channel queue
     bool marked = false;           // transport: one-bit delay mark (§5.2)
     TimePoint queued_at = 0;
@@ -309,11 +310,10 @@ class Simulator {
   /// last boundary) with WindowInfo::partial set.
   void finish_windows();
   void handle_arrival(std::size_t trace_index);
-  /// Settle and hop-arrive events carry the chunk's acquisition stamp so a
-  /// churn-aborted chunk's stale events are skipped instead of corrupting a
+  /// Settle and hop-arrive events carry the chunk's acquisition stamp so an
+  /// aborted chunk's stale events are skipped instead of corrupting a
   /// recycled slot (release zeroes the stamp; reacquisition draws a fresh
-  /// one). With no churn the stamps always match, so the zero-churn event
-  /// sequence — and every metric byte — is unchanged.
+  /// one). A live settle is complete_chunk().
   void handle_settle(std::size_t chunk_index, std::uint64_t stamp);
   void handle_poll();
   void handle_hop_arrive(std::size_t chunk_index, std::uint64_t stamp);
@@ -333,10 +333,6 @@ class Simulator {
   [[nodiscard]] bool queue_bank_active() const {
     return config_.queueing == QueueingMode::kRouterQueue;
   }
-  /// A unit just left a channel queue after `wait`: bank accounting plus,
-  /// with the transport on, the one-bit mark decision.
-  void note_dequeue(std::size_t chunk_index, EdgeId edge, int side,
-                    Duration wait);
   void handle_topology(std::size_t change_index);
   /// A channel is about to close: chunks waiting inside its queues and
   /// chunks holding locked funds on it fail now, refunding every hop they
@@ -344,15 +340,6 @@ class Simulator {
   /// all-or-nothing delivery, so their sibling chunks roll back too and the
   /// payment fails.
   void churn_fail_channel(EdgeId closing);
-  /// What killed a chunk from outside its own lifecycle — decides which
-  /// counter it lands in and which per-payment flag it sets.
-  enum class AbortCause { kChurn, kFault };
-  /// Rolls back one chunk the world broke (channel close or fault): refund
-  /// + payment bookkeeping + queue service on the released upstream hops.
-  /// `closing` is the edge whose queues must not be re-served (kInvalidEdge
-  /// for faults — every released hop may admit waiters).
-  void forced_abort_chunk(std::size_t chunk_index, EdgeId closing,
-                          AbortCause cause);
   void handle_fault(std::size_t fault_index);
   void handle_chunk_fault(std::size_t chunk_index, std::uint64_t stamp);
   void handle_fault_recover(std::size_t node_index, std::uint64_t stamp);
@@ -368,13 +355,18 @@ class Simulator {
   /// Remembers that `path` failed `payment_index` by fault, so retries
   /// skip it (cleared when the payment finishes).
   void blacklist_path(std::size_t payment_index, const Path& path);
-  /// Source-queue mode: schedules a freshly locked chunk's settle — or,
-  /// when a lossy hop drops it / the receiver griefs it, its HTLC-timeout
-  /// refund (kChunkFault) after the hold.
+  /// Counts, announces (transport send, on_chunk_locked) and schedules one
+  /// freshly locked chunk: a hop-by-hop unit travels its first hop
+  /// (schedule_hop_travel), a fully locked one waits out Δ
+  /// (schedule_chunk_outcome).
+  void commit_chunk(std::size_t chunk_index, bool hop_by_hop);
+  /// Schedules a fully locked chunk's settle — or, when a lossy hop drops
+  /// it / the receiver griefs it, its HTLC-timeout refund (kChunkFault)
+  /// after the hold.
   void schedule_chunk_outcome(std::size_t chunk_index);
-  /// Router-queue mode: schedules the chunk's travel across the hop it
-  /// just locked — or, when the message drops on a lossy channel, its
-  /// stale-lock detection (kChunkFault) after the queueing timeout.
+  /// Schedules the chunk's travel across the hop it just locked — or, when
+  /// the message drops on a lossy channel, its stale-lock detection
+  /// (kChunkFault) after the queueing timeout.
   void schedule_hop_travel(std::size_t chunk_index);
   /// Arms the exponential-backoff gate after a non-atomic attempt.
   void arm_retry_backoff(Payment& p);
@@ -397,10 +389,23 @@ class Simulator {
   void queue_remove(EdgeId edge, int side, std::size_t chunk_index);
   /// Locks hop `hops_locked` if funds allow; returns success.
   [[nodiscard]] bool try_lock_next_hop(std::size_t chunk_index);
-  /// Chunk reached the destination: settle every hop, credit the payment.
+  /// Chunk reached the destination: settle every hop, credit the payment,
+  /// serve the queues the settle credited.
   void complete_chunk(std::size_t chunk_index);
-  /// Rolls back all locks held by the chunk and returns funds upstream.
-  void abort_chunk(std::size_t chunk_index);
+  /// Why a chunk failed — decides which counter it lands in and which
+  /// per-payment flag it sets.
+  enum class AbortCause { kTimeout, kChurn, kFault };
+  /// The one failure path: leaves its queue if queued, refunds hops
+  /// [0, hops_locked), serves the waiters on the refunded hops except on
+  /// `closing` (the channel being closed; kInvalidEdge when none), then
+  /// either fails an atomic payment with all its sibling chunks or makes
+  /// the remainder sendable again (expiring a payment past its deadline).
+  void abort_chunk(std::size_t chunk_index, EdgeId closing,
+                   AbortCause cause);
+  /// The one dequeue path: unlinks a queued chunk, records its wait, and
+  /// returns the bank's verdict on whether the wait crossed the marking
+  /// threshold (the caller decides whether that marks the unit).
+  [[nodiscard]] bool leave_queue(std::size_t chunk_index);
   /// Funds appeared on (edge, side): admit queued chunks in FIFO order.
   void serve_channel_queue(EdgeId edge, int side);
   void ensure_pending(std::size_t payment_index);
