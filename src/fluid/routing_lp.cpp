@@ -106,38 +106,55 @@ FluidSolution RoutingLp::solve_bounded_rebalancing(double bound) const {
 
 namespace {
 
+/// The balanced-routing variables, grouped as the solvers read them back.
+struct BalancedVars {
+  std::vector<std::vector<int>> pair_vars;  // x_p ids, grouped by pair
+  std::vector<int> b_vars;  // b_(u,v) ids at 2*edge + dir (0: a->b), or empty
+};
+
 /// Adds the shared balanced-routing structure: one x_p >= 0 variable per
-/// path (objective coefficient `x_objective`), demand rows Σx <= d,
-/// capacity rows, and per-direction balance rows (<= 0). Returns the
-/// variable ids grouped by pair.
-std::vector<std::vector<int>> add_balanced_structure(
-    LpModel& model, const Graph& graph, const std::vector<PairPaths>& pairs,
-    double delta, double x_objective) {
-  std::vector<std::vector<int>> pair_vars;
-  pair_vars.reserve(pairs.size());
+/// path (objective 1), then — with rebalancing — one b_(u,v) >= 0 per
+/// directed edge (objective -γ); demand rows (2)/(7)/(13) Σ_p x_p <= d_ij;
+/// and per edge a capacity row (3)/(8)/(14) over both directions <= c_e/Δ
+/// followed by the two balance rows (4)/(9)/(15): direction flow − reverse
+/// flow <= b_(u,v) (or <= 0).
+BalancedVars add_balanced_structure(LpModel& model, const Graph& graph,
+                                    const std::vector<PairPaths>& pairs,
+                                    double delta, bool with_rebalancing,
+                                    double gamma) {
+  BalancedVars vars;
+  vars.pair_vars.reserve(pairs.size());
   for (const PairPaths& pp : pairs) {
-    std::vector<int> vars;
-    vars.reserve(pp.paths.size());
+    std::vector<int> ids;
+    ids.reserve(pp.paths.size());
     for (std::size_t i = 0; i < pp.paths.size(); ++i)
-      vars.push_back(model.add_variable(x_objective));
-    pair_vars.push_back(std::move(vars));
+      ids.push_back(model.add_variable(1.0));
+    vars.pair_vars.push_back(std::move(ids));
+  }
+  if (with_rebalancing) {
+    vars.b_vars.reserve(static_cast<std::size_t>(graph.num_edges()) * 2);
+    for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+      vars.b_vars.push_back(model.add_variable(-gamma));
+      vars.b_vars.push_back(model.add_variable(-gamma));
+    }
   }
 
   for (std::size_t pi = 0; pi < pairs.size(); ++pi) {
     std::vector<LpTerm> terms;
-    for (int v : pair_vars[pi]) terms.push_back({v, 1.0});
+    for (int v : vars.pair_vars[pi]) terms.push_back({v, 1.0});
     if (!terms.empty())
       model.add_constraint(std::move(terms), RowSense::kLeq,
                            pairs[pi].demand);
   }
 
+  // Which path variables traverse each directed edge.
   const auto ne = static_cast<std::size_t>(graph.num_edges());
   std::vector<std::vector<LpTerm>> dir_flow(ne * 2);
   for (std::size_t pi = 0; pi < pairs.size(); ++pi) {
     const PairPaths& pp = pairs[pi];
     for (std::size_t qi = 0; qi < pp.paths.size(); ++qi) {
       const Path& path = pp.paths[qi];
-      const int var = pair_vars[pi][qi];
+      const int var = vars.pair_vars[pi][qi];
       for (std::size_t h = 0; h < path.edges.size(); ++h) {
         const EdgeId e = path.edges[h];
         const int dir = graph.side_of(e, path.nodes[h]);
@@ -164,11 +181,29 @@ std::vector<std::vector<int>> add_balanced_structure(
         t.coeff = -t.coeff;
         bal.push_back(t);
       }
+      if (with_rebalancing) bal.push_back({vars.b_vars[mine], -1.0});
       if (!bal.empty())
         model.add_constraint(std::move(bal), RowSense::kLeq, 0.0);
     }
   }
-  return pair_vars;
+  return vars;
+}
+
+/// Reads the clamped x_p rates back per pair and sums them into the
+/// throughput.
+void extract_path_rates(const LpSolution& sol,
+                        const std::vector<std::vector<int>>& pair_vars,
+                        FluidSolution& out) {
+  for (const std::vector<int>& ids : pair_vars) {
+    std::vector<double> rates;
+    rates.reserve(ids.size());
+    for (int v : ids) {
+      const double x = std::max(0.0, sol.x[static_cast<std::size_t>(v)]);
+      rates.push_back(x);
+      out.throughput += x;
+    }
+    out.path_rates.push_back(std::move(rates));
+  }
 }
 
 }  // namespace
@@ -189,15 +224,15 @@ FluidSolution RoutingLp::solve_max_min_balanced() const {
   const double fairness_weight = 100.0 * std::max(1.0, total_demand);
 
   LpModel model;
-  std::vector<std::vector<int>> pair_vars =
-      add_balanced_structure(model, *graph_, pairs_, delta_, 1.0);
+  const BalancedVars vars = add_balanced_structure(
+      model, *graph_, pairs_, delta_, /*with_rebalancing=*/false, 0.0);
   const int t_var = model.add_variable(fairness_weight);
   model.add_constraint({{t_var, 1.0}}, RowSense::kLeq, 1.0);  // t <= 1
   for (std::size_t pi = 0; pi < pairs_.size(); ++pi) {
     if (pairs_[pi].demand <= 0 || pairs_[pi].paths.empty()) continue;
     // d_ij·t − Σ x_p <= 0.
     std::vector<LpTerm> terms{{t_var, pairs_[pi].demand}};
-    for (int v : pair_vars[pi]) terms.push_back({v, -1.0});
+    for (int v : vars.pair_vars[pi]) terms.push_back({v, -1.0});
     model.add_constraint(std::move(terms), RowSense::kLeq, 0.0);
   }
 
@@ -207,106 +242,20 @@ FluidSolution RoutingLp::solve_max_min_balanced() const {
   out.objective = sol.objective;
   out.min_fraction =
       std::max(0.0, sol.x[static_cast<std::size_t>(t_var)]);
-  for (std::size_t pi = 0; pi < pairs_.size(); ++pi) {
-    std::vector<double> rates;
-    rates.reserve(pair_vars[pi].size());
-    for (int v : pair_vars[pi]) {
-      const double x = std::max(0.0, sol.x[static_cast<std::size_t>(v)]);
-      rates.push_back(x);
-      out.throughput += x;
-    }
-    out.path_rates.push_back(std::move(rates));
-  }
+  extract_path_rates(sol, vars.pair_vars, out);
   return out;
 }
 
 FluidSolution RoutingLp::solve_impl(bool with_rebalancing, double gamma,
                                     double bound) const {
   LpModel model;
-
-  // Path-rate variables x_p, grouped by pair.
-  std::vector<std::vector<int>> pair_vars;
-  pair_vars.reserve(pairs_.size());
-  for (const PairPaths& pp : pairs_) {
-    std::vector<int> vars;
-    vars.reserve(pp.paths.size());
-    for (std::size_t i = 0; i < pp.paths.size(); ++i)
-      vars.push_back(model.add_variable(1.0));
-    pair_vars.push_back(std::move(vars));
-  }
-
-  // Rebalancing variables b_(u,v), one per directed edge, objective -γ.
-  // Index: 2*edge + dir where dir 0 is a->b.
-  std::vector<int> b_vars;
-  if (with_rebalancing) {
-    b_vars.reserve(static_cast<std::size_t>(graph_->num_edges()) * 2);
-    for (EdgeId e = 0; e < graph_->num_edges(); ++e) {
-      b_vars.push_back(model.add_variable(-gamma));
-      b_vars.push_back(model.add_variable(-gamma));
-    }
-  }
-
-  // Demand constraints (2)/(7)/(13): Σ_p x_p <= d_ij.
-  for (std::size_t pi = 0; pi < pairs_.size(); ++pi) {
-    std::vector<LpTerm> terms;
-    for (int v : pair_vars[pi]) terms.push_back({v, 1.0});
-    if (!terms.empty())
-      model.add_constraint(std::move(terms), RowSense::kLeq,
-                           pairs_[pi].demand);
-  }
-
-  // Per directed edge: which (var, direction) pairs traverse it.
-  // capacity row (3)/(8)/(14): both directions sum <= c_e/Δ.
-  // balance row (4)/(9)/(15): dir flow − reverse flow <= b (or 0).
-  const auto ne = static_cast<std::size_t>(graph_->num_edges());
-  std::vector<std::vector<LpTerm>> dir_flow(ne * 2);  // terms per directed edge
-  for (std::size_t pi = 0; pi < pairs_.size(); ++pi) {
-    const PairPaths& pp = pairs_[pi];
-    for (std::size_t qi = 0; qi < pp.paths.size(); ++qi) {
-      const Path& path = pp.paths[qi];
-      const int var = pair_vars[pi][qi];
-      for (std::size_t h = 0; h < path.edges.size(); ++h) {
-        const EdgeId e = path.edges[h];
-        const int dir = graph_->side_of(e, path.nodes[h]);  // 0: a->b
-        dir_flow[static_cast<std::size_t>(e) * 2 +
-                 static_cast<std::size_t>(dir)]
-            .push_back({var, 1.0});
-      }
-    }
-  }
-
-  for (EdgeId e = 0; e < graph_->num_edges(); ++e) {
-    const auto fwd = static_cast<std::size_t>(e) * 2;
-    const auto rev = fwd + 1;
-    const double cap_rate = to_xrp(graph_->edge(e).capacity) / delta_;
-
-    std::vector<LpTerm> cap_terms = dir_flow[fwd];
-    cap_terms.insert(cap_terms.end(), dir_flow[rev].begin(),
-                     dir_flow[rev].end());
-    if (!cap_terms.empty())
-      model.add_constraint(std::move(cap_terms), RowSense::kLeq, cap_rate);
-
-    for (int dir = 0; dir < 2; ++dir) {
-      const auto mine = dir == 0 ? fwd : rev;
-      const auto theirs = dir == 0 ? rev : fwd;
-      std::vector<LpTerm> bal = dir_flow[mine];
-      for (LpTerm t : dir_flow[theirs]) {
-        t.coeff = -t.coeff;
-        bal.push_back(t);
-      }
-      if (with_rebalancing)
-        bal.push_back({b_vars[mine], -1.0});
-      else if (bal.empty())
-        continue;
-      if (!bal.empty())
-        model.add_constraint(std::move(bal), RowSense::kLeq, 0.0);
-    }
-  }
+  const BalancedVars vars = add_balanced_structure(
+      model, *graph_, pairs_, delta_, with_rebalancing, gamma);
 
   // Total rebalancing bound (16), when requested.
   if (with_rebalancing && bound >= 0) {
     std::vector<LpTerm> terms;
-    for (int v : b_vars) terms.push_back({v, 1.0});
+    for (int v : vars.b_vars) terms.push_back({v, 1.0});
     model.add_constraint(std::move(terms), RowSense::kLeq, bound);
   }
 
@@ -315,19 +264,9 @@ FluidSolution RoutingLp::solve_impl(bool with_rebalancing, double gamma,
   out.status = sol.status;
   if (sol.status != LpStatus::kOptimal) return out;
   out.objective = sol.objective;
-  for (std::size_t pi = 0; pi < pairs_.size(); ++pi) {
-    std::vector<double> rates;
-    rates.reserve(pair_vars[pi].size());
-    for (int v : pair_vars[pi]) {
-      const double x = std::max(0.0, sol.x[static_cast<std::size_t>(v)]);
-      rates.push_back(x);
-      out.throughput += x;
-    }
-    out.path_rates.push_back(std::move(rates));
-  }
-  if (with_rebalancing)
-    for (int v : b_vars)
-      out.rebalancing_rate += std::max(0.0, sol.x[static_cast<std::size_t>(v)]);
+  extract_path_rates(sol, vars.pair_vars, out);
+  for (int v : vars.b_vars)
+    out.rebalancing_rate += std::max(0.0, sol.x[static_cast<std::size_t>(v)]);
   return out;
 }
 
