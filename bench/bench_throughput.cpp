@@ -73,6 +73,9 @@
 // observer (warmup SPIDER_BENCH_WARMUP_S, default 2) and fills
 // steady_success_ratio/windows — the observer pipeline measured under the
 // same clock. SPIDER_BENCH_WINDOW_S=0 restores the bare batch run.
+// A scenario × scheme row whose first run takes under 0.25 s runs 5 times
+// in total; wall_s and the rates come from the median run, and a repeat
+// whose metrics differ from the first run's fails the bench (exit 1).
 //
 // Perf-smoke gate: SPIDER_BENCH_FLOOR=<file> reads a floor file ('#'
 // comments allowed) with these line forms:
@@ -118,6 +121,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -593,8 +597,16 @@ std::vector<ThroughputRow> measure_replay_rows() {
   return rows;
 }
 
+/// A row whose first run is shorter than this is timed again: one run of a
+/// few milliseconds is mostly scheduler noise.
+constexpr double kRepeatBelowS = 0.25;
+constexpr std::size_t kMaxRuns = 5;
+
 /// Times one scenario × scheme run through `net` and fills a row. The
-/// windowed path is the default — SPIDER_BENCH_WINDOW_S=0 opts out.
+/// windowed path is the default — SPIDER_BENCH_WINDOW_S=0 opts out. A row
+/// whose first run takes under kRepeatBelowS runs kMaxRuns times in total
+/// and reports the median wall time; every repeat must reproduce the first
+/// run's metrics exactly, or the bench exits non-zero.
 ThroughputRow measure_row(const SpiderNetwork& net,
                           const ScenarioInstance& scenario,
                           const std::string& spec, Scheme scheme,
@@ -602,19 +614,33 @@ ThroughputRow measure_row(const SpiderNetwork& net,
   const double window_s = env_double("SPIDER_BENCH_WINDOW_S", 2.0);
   const Duration warmup = seconds(env_double("SPIDER_BENCH_WARMUP_S", 2.0));
   const std::uint64_t seed = net.config().sim.seed;
+  const auto timed_run = [&](WindowedRun& windowed) {
+    const auto start = Clock::now();
+    if (window_s > 0)
+      windowed = run_windowed(net, scheme, seed, scenario.trace,
+                              seconds(window_s), warmup, scenario.churn,
+                              scenario.faults);
+    else
+      windowed.metrics = net.run(scheme, scenario.trace, seed,
+                                 scenario.churn, scenario.faults);
+    return seconds_since(start);
+  };
   WindowedRun windowed;
-  const auto start = Clock::now();
-  SimMetrics m;
-  if (window_s > 0) {
-    windowed = run_windowed(net, scheme, seed, scenario.trace,
-                            seconds(window_s), warmup, scenario.churn,
-                            scenario.faults);
-    m = windowed.metrics;
-  } else {
-    m = net.run(scheme, scenario.trace, seed, scenario.churn,
-                scenario.faults);
+  std::vector<double> walls{timed_run(windowed)};
+  const SimMetrics& m = windowed.metrics;
+  if (walls.front() < kRepeatBelowS) {
+    while (walls.size() < kMaxRuns) {
+      WindowedRun repeat;
+      walls.push_back(timed_run(repeat));
+      if (!(repeat.metrics == m)) {
+        std::cerr << "DETERMINISM FAILURE: " << spec << " / "
+                  << scheme_name(scheme) << " run " << walls.size()
+                  << " diverged from the first run's metrics\n";
+        std::exit(1);
+      }
+    }
   }
-  const double wall = seconds_since(start);
+  const double wall = quantile(std::span<double>(walls), 0.5);
   ThroughputRow row;
   row.scenario = spec;
   row.scheme = scheme_name(scheme);
