@@ -136,7 +136,7 @@ TEST(FlatPathStore, MatchesDirectComputationOnEveryRegistryScenario) {
   ScenarioParams params;
   params.payments = 150;
   params.nodes = 120;  // keeps ripple-full (default 3774) test-sized
-  provide_replay_files(params, 150);
+  const ReplayFiles replay = provide_replay_files(params, 150);
   for (const auto& entry : ScenarioRegistry::instance().list()) {
     const ScenarioInstance scenario = build_scenario(entry.name, params);
     for (const PathSelection selection :
@@ -279,7 +279,7 @@ TEST(FlatPathStore, ParallelWarmMatchesSerialOnEveryRegistryScenario) {
   ScenarioParams params;
   params.payments = 150;
   params.nodes = 120;  // keeps ripple-full (default 3774) test-sized
-  provide_replay_files(params, 150);
+  const ReplayFiles replay = provide_replay_files(params, 150);
   for (const auto& entry : ScenarioRegistry::instance().list()) {
     const ScenarioInstance scenario = build_scenario(entry.name, params);
     const Graph graph = with_isolated_and_pendant(scenario.graph);
@@ -368,7 +368,7 @@ TEST(HotPathDeterminism, FixedSeedMetricsIdenticalOnEveryRegistryScenario) {
   ScenarioParams params;
   params.payments = 250;
   params.nodes = 80;  // keeps ripple-full test-sized
-  provide_replay_files(params, 250);
+  const ReplayFiles replay = provide_replay_files(params, 250);
   for (const auto& entry : ScenarioRegistry::instance().list()) {
     const ScenarioInstance scenario = build_scenario(entry.name, params);
     const SpiderNetwork net(scenario.graph, scenario.config);

@@ -3,9 +3,12 @@
 #pragma once
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -97,21 +100,64 @@ inline SimMetrics run_without_session(const SpiderNetwork& net, Scheme scheme,
   return run_simulation(net.topology(), *router, trace, config.sim, paths);
 }
 
+/// A scratch file under testing::TempDir() that is removed when the holder
+/// goes out of scope. `name` gets the process id spliced in before its
+/// extension ("trace.csv" -> "trace_<pid>.csv"), so test binaries running
+/// side by side (ctest -j runs one process per test) never share a file.
+class ScopedTempFile {
+ public:
+  explicit ScopedTempFile(const std::string& name) {
+    const std::size_t dot = name.rfind('.');
+    const std::string pid = "_" + std::to_string(::getpid());
+    path_ = testing::TempDir() + "/" +
+            (dot == std::string::npos
+                 ? name + pid
+                 : name.substr(0, dot) + pid + name.substr(dot));
+  }
+  ~ScopedTempFile() {
+    if (!path_.empty()) std::remove(path_.c_str());
+  }
+  ScopedTempFile(ScopedTempFile&& other) noexcept
+      : path_(std::exchange(other.path_, {})) {}
+  ScopedTempFile& operator=(ScopedTempFile&& other) noexcept {
+    if (this != &other) {
+      if (!path_.empty()) std::remove(path_.c_str());
+      path_ = std::exchange(other.path_, {});
+    }
+    return *this;
+  }
+  ScopedTempFile(const ScopedTempFile&) = delete;
+  ScopedTempFile& operator=(const ScopedTempFile&) = delete;
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+/// The on-disk workload provide_replay_files() writes; both files go away
+/// with it.
+struct ReplayFiles {
+  ScopedTempFile trace;
+  ScopedTempFile topology;
+};
+
 /// The file-backed `trace-replay` scenario needs an on-disk workload;
 /// registry-wide sweeps generate one (from a small isp build) and point
-/// ScenarioParams at it. Other scenarios ignore the file fields.
-inline void provide_replay_files(ScenarioParams& params, int payments) {
+/// ScenarioParams at it. Other scenarios ignore the file fields. Keep the
+/// result alive while `params` is used to build scenarios.
+[[nodiscard]] inline ReplayFiles provide_replay_files(ScenarioParams& params,
+                                                      int payments) {
   ScenarioParams source_params;
   source_params.payments = payments;
   const ScenarioInstance source = build_scenario("isp", source_params);
-  const std::string trace_path =
-      testing::TempDir() + "/spider_registry_sweep_trace.csv";
-  const std::string topo_path =
-      testing::TempDir() + "/spider_registry_sweep_topology.csv";
-  write_trace_csv(trace_path, source.trace);
-  write_topology_csv(source.graph, topo_path);
-  params.trace_file = trace_path;
-  params.topology_file = topo_path;
+  ReplayFiles files{ScopedTempFile("spider_registry_sweep_trace.csv"),
+                    ScopedTempFile("spider_registry_sweep_topology.csv")};
+  write_trace_csv(files.trace.path(), source.trace);
+  write_topology_csv(source.graph, files.topology.path());
+  params.trace_file = files.trace.path();
+  params.topology_file = files.topology.path();
+  return files;
 }
 
 }  // namespace spider
