@@ -614,23 +614,18 @@ ThroughputRow measure_row(const SpiderNetwork& net,
   const double window_s = env_double("SPIDER_BENCH_WINDOW_S", 2.0);
   const Duration warmup = seconds(env_double("SPIDER_BENCH_WARMUP_S", 2.0));
   const std::uint64_t seed = net.config().sim.seed;
-  const auto timed_run = [&](WindowedRun& windowed) {
+  const auto timed_run = [&](RunResult& run) {
     const auto start = Clock::now();
-    if (window_s > 0)
-      windowed = run_windowed(net, scheme, seed, scenario.trace,
-                              seconds(window_s), warmup, scenario.churn,
-                              scenario.faults);
-    else
-      windowed.metrics = net.run(scheme, scenario.trace, seed,
-                                 scenario.churn, scenario.faults);
+    run = net.run_streams(scheme, scenario.trace, seed, scenario.churn,
+                          scenario.faults, seconds(window_s), warmup);
     return seconds_since(start);
   };
-  WindowedRun windowed;
-  std::vector<double> walls{timed_run(windowed)};
-  const SimMetrics& m = windowed.metrics;
+  RunResult first;
+  std::vector<double> walls{timed_run(first)};
+  const SimMetrics& m = first.metrics;
   if (walls.front() < kRepeatBelowS) {
     while (walls.size() < kMaxRuns) {
-      WindowedRun repeat;
+      RunResult repeat;
       walls.push_back(timed_run(repeat));
       if (!(repeat.metrics == m)) {
         std::cerr << "DETERMINISM FAILURE: " << spec << " / "
@@ -656,10 +651,8 @@ ThroughputRow measure_row(const SpiderNetwork& net,
   row.payments_per_s = static_cast<double>(row.payments) / wall;
   row.plans_per_s = static_cast<double>(m.plans_requested) / wall;
   row.success_ratio = m.success_ratio();
-  if (window_s > 0) {
-    row.steady_success_ratio = windowed.steady.success_ratio;
-    row.windows = windowed.steady.windows;
-  }
+  row.steady_success_ratio = first.steady.success_ratio;
+  row.windows = first.steady.windows;
   row.sim_duration_s = m.sim_duration_s;
   row.chunks_marked = m.chunks_marked;
   row.pace_rounds = m.pace_rounds;

@@ -7,6 +7,8 @@
 // then written as packed binary (.sptr/.sptp) and replayed through the
 // mmap'd zero-copy reader — CI's sanitize job runs this example, so both
 // replay paths get ASan/UBSan coverage and either diverging is a failure.
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
@@ -23,10 +25,15 @@ int main() {
   ScenarioParams params;
   params.payments = 4000;
   const ScenarioInstance scenario = build_scenario("isp", params);
+  // File names carry the process id so concurrent runs never share a file.
   const auto tmp = std::filesystem::temp_directory_path();
-  const std::string trace_path = (tmp / "spider_example_trace.csv").string();
-  const std::string topo_path =
-      (tmp / "spider_example_topology.csv").string();
+  const auto scratch = [&](const char* name, const char* ext) {
+    return (tmp / (std::string(name) + "_" + std::to_string(::getpid()) +
+                   ext))
+        .string();
+  };
+  const std::string trace_path = scratch("spider_example_trace", ".csv");
+  const std::string topo_path = scratch("spider_example_topology", ".csv");
   write_trace_csv(trace_path, scenario.trace);
   write_topology_csv(scenario.graph, topo_path);
   std::cout << "wrote " << scenario.trace.size() << " payments + "
@@ -72,9 +79,8 @@ int main() {
   // 4. Format v1: the same workload as packed binary, replayed through the
   //    mmap'd zero-copy reader. The extension-dispatch helpers pick the
   //    binary path, and the metrics must again equal the in-memory run.
-  const std::string bin_trace = (tmp / "spider_example_trace.sptr").string();
-  const std::string bin_topo =
-      (tmp / "spider_example_topology.sptp").string();
+  const std::string bin_trace = scratch("spider_example_trace", ".sptr");
+  const std::string bin_topo = scratch("spider_example_topology", ".sptp");
   write_trace_binary(bin_trace, scenario.trace);
   write_topology_binary(scenario.graph, bin_topo);
   const Graph bin_imported = read_topology_any(bin_topo);

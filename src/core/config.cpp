@@ -113,9 +113,6 @@ void SpiderConfig::validate() const {
   if (sim.retry_backoff < 0)
     throw std::invalid_argument(
         "SpiderConfig: retry_backoff must be non-negative");
-  if (sim.payment_deadline < 0)
-    throw std::invalid_argument(
-        "SpiderConfig: payment_deadline must be non-negative");
   if (num_paths < 1)
     throw std::invalid_argument("SpiderConfig: num_paths must be >= 1");
   if (num_landmarks < 1)

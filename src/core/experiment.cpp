@@ -11,36 +11,11 @@
 
 namespace spider {
 
-WindowedRun run_windowed(const SpiderNetwork& network, Scheme scheme,
-                         std::uint64_t seed,
-                         const std::vector<PaymentSpec>& trace,
-                         Duration metrics_window, Duration warmup,
-                         const std::vector<TopologyChange>& churn,
-                         const std::vector<FaultEvent>& faults) {
-  SPIDER_ASSERT(metrics_window > 0);
-  SessionOptions options;
-  options.metrics_window = metrics_window;
-  options.demand_hint = &trace;
-  SimSession session = network.session(scheme, seed, options);
-  WindowedMetrics windowed(warmup);
-  session.attach(windowed);
-  // The canonical order of SpiderNetwork::run.
-  session.submit_topology(churn);
-  session.submit_faults(faults);
-  session.submit(trace);
-  WindowedRun run;
-  run.metrics = session.drain();
-  run.windows = windowed.windows();
-  run.steady = windowed.steady_state();
-  return run;
-}
-
-namespace {
-
-std::vector<SchemeResult> run_schemes_impl(
-    const SpiderNetwork& network, const std::vector<PaymentSpec>& trace,
-    const std::vector<Scheme>& schemes, Duration metrics_window,
-    Duration warmup) {
+std::vector<SchemeResult> run_schemes(const SpiderNetwork& network,
+                                      const std::vector<PaymentSpec>& trace,
+                                      const std::vector<Scheme>& schemes,
+                                      Duration metrics_window,
+                                      Duration warmup) {
   // Scheme runs are independent (fresh network per run), so fan them out on
   // the pool; each worker writes only its own slot, which keeps the result
   // order — and every metric byte — identical to the old serial loop. The
@@ -55,39 +30,12 @@ std::vector<SchemeResult> run_schemes_impl(
   runner.for_each(schemes.size(), [&](std::size_t i) {
     SPIDER_INFO("running " << scheme_name(schemes[i]) << " over "
                            << trace.size() << " payments");
-    SchemeResult& result = results[i];
-    result.scheme = schemes[i];
-    if (metrics_window > 0) {
-      // Windowed run: identical event sequence, driven through a session
-      // so WindowedMetrics can collect the steady-state series.
-      WindowedRun run =
-          run_windowed(network, schemes[i], network.config().sim.seed,
-                       trace, metrics_window, warmup);
-      result.metrics = run.metrics;
-      result.windows = std::move(run.windows);
-      result.steady = run.steady;
-    } else {
-      result.metrics = network.run(schemes[i], trace);
-    }
+    results[i] = SchemeResult{
+        network.run_streams(schemes[i], trace, network.config().sim.seed, {},
+                            {}, metrics_window, warmup),
+        schemes[i]};
   });
   return results;
-}
-
-}  // namespace
-
-std::vector<SchemeResult> run_schemes(const SpiderNetwork& network,
-                                      const std::vector<PaymentSpec>& trace,
-                                      const std::vector<Scheme>& schemes) {
-  return run_schemes_impl(network, trace, schemes, 0, 0);
-}
-
-std::vector<SchemeResult> run_schemes(const SpiderNetwork& network,
-                                      const std::vector<PaymentSpec>& trace,
-                                      const std::vector<Scheme>& schemes,
-                                      Duration metrics_window,
-                                      Duration warmup) {
-  SPIDER_ASSERT(metrics_window > 0);
-  return run_schemes_impl(network, trace, schemes, metrics_window, warmup);
 }
 
 Table results_table(const std::vector<SchemeResult>& results, int paths_k) {

@@ -9,52 +9,24 @@
 #include <vector>
 
 #include "core/spider.hpp"
-#include "sim/observers.hpp"
 #include "util/table.hpp"
 
 namespace spider {
 
-struct SchemeResult {
+/// One scheme's run over a shared trace.
+struct SchemeResult : RunResult {
   Scheme scheme = Scheme::kShortestPath;
-  SimMetrics metrics;
-  /// Per-window series + warmup-excluded aggregate; populated only by the
-  /// windowed run_schemes overload (empty/zero otherwise).
-  std::vector<WindowStats> windows;
-  WindowedMetrics::SteadyState steady;
 };
-
-/// One windowed run: lifetime metrics plus the WindowedMetrics harvest.
-struct WindowedRun {
-  SimMetrics metrics;
-  std::vector<WindowStats> windows;
-  WindowedMetrics::SteadyState steady;
-};
-
-/// SpiderNetwork::run(scheme, trace, seed, churn, faults) through a
-/// session with a WindowedMetrics observer attached: the metrics are
-/// byte-identical to run()'s, and the windows and steady-state aggregate
-/// ride along. The single implementation behind every windowed surface
-/// (run_grid, run_schemes, bench_throughput), so the session wiring cannot
-/// drift between them.
-[[nodiscard]] WindowedRun run_windowed(
-    const SpiderNetwork& network, Scheme scheme, std::uint64_t seed,
-    const std::vector<PaymentSpec>& trace, Duration metrics_window,
-    Duration warmup, const std::vector<TopologyChange>& churn = {},
-    const std::vector<FaultEvent>& faults = {});
 
 /// Runs every scheme in `schemes` over the same trace on fresh copies of the
-/// network. Logs progress at info level.
+/// network, at the configured seed, through SpiderNetwork::run_streams. A
+/// positive `metrics_window` also collects each scheme's per-window series
+/// and steady-state aggregate excluding `warmup`. Logs progress at info
+/// level.
 [[nodiscard]] std::vector<SchemeResult> run_schemes(
     const SpiderNetwork& network, const std::vector<PaymentSpec>& trace,
-    const std::vector<Scheme>& schemes);
-
-/// Same runs, driven through sessions with a WindowedMetrics observer per
-/// scheme: lifetime metrics stay byte-identical, and each result carries
-/// the per-window series plus steady-state aggregates excluding `warmup`.
-[[nodiscard]] std::vector<SchemeResult> run_schemes(
-    const SpiderNetwork& network, const std::vector<PaymentSpec>& trace,
-    const std::vector<Scheme>& schemes, Duration metrics_window,
-    Duration warmup);
+    const std::vector<Scheme>& schemes, Duration metrics_window = 0,
+    Duration warmup = 0);
 
 /// Paper-style summary table: scheme, success ratio, success volume, plus
 /// completion-latency and overhead columns. A positive `paths_k` reports

@@ -101,25 +101,11 @@ std::vector<CellResult> ExperimentRunner::run_grid(
   const auto run_cell = [&](std::size_t i) {
     const GridCell& cell = cells[i];
     const ScenarioInstance& scenario = scenarios[cell.scenario_index];
-    CellResult& result = results[i];
-    result.cell = cell;
-    result.scenario = scenario.name;
-    const SpiderNetwork& network = networks[cell.scenario_index];
-    if (options.metrics_window > 0) {
-      // Windowed cell: same run, driven through a session so a
-      // WindowedMetrics observer can collect the time series. The final
-      // metrics stay byte-identical to the unwindowed run().
-      WindowedRun run = run_windowed(network, cell.scheme, cell.seed,
-                                     scenario.trace, options.metrics_window,
-                                     options.warmup, scenario.churn,
-                                     scenario.faults);
-      result.metrics = run.metrics;
-      result.windows = std::move(run.windows);
-      result.steady = run.steady;
-    } else {
-      result.metrics = network.run(cell.scheme, scenario.trace, cell.seed,
-                                   scenario.churn, scenario.faults);
-    }
+    results[i] = CellResult{
+        networks[cell.scenario_index].run_streams(
+            cell.scheme, scenario.trace, cell.seed, scenario.churn,
+            scenario.faults, options.metrics_window, options.warmup),
+        cell, scenario.name};
   };
   for_each(cells.size(), run_cell);
   return results;

@@ -26,7 +26,6 @@
 
 #include "core/scenario.hpp"
 #include "core/spider.hpp"
-#include "sim/observers.hpp"
 
 namespace spider {
 
@@ -37,25 +36,20 @@ struct GridCell {
   std::uint64_t seed = 0;
 };
 
-/// Per-grid knobs. A positive metrics_window makes every cell run through
-/// a session with a WindowedMetrics observer attached, so the grid
-/// collects a per-window time series (and a warmup-excluded steady-state
-/// aggregate) per cell on top of the lifetime metrics — which stay
-/// byte-identical to the unwindowed run.
+/// Per-grid knobs. A positive metrics_window makes every cell collect a
+/// per-window time series and a warmup-excluded steady-state aggregate on
+/// top of the lifetime metrics, which stay the same bytes
+/// (SpiderNetwork::run_streams).
 struct GridOptions {
   Duration metrics_window = 0;
   Duration warmup = 0;
 };
 
 /// A finished cell. `scenario` repeats the scenario name so results are
-/// self-describing after the instances go out of scope. `windows`/`steady`
-/// are populated only by windowed grids (GridOptions::metrics_window > 0).
-struct CellResult {
+/// self-describing after the instances go out of scope.
+struct CellResult : RunResult {
   GridCell cell;
   std::string scenario;
-  SimMetrics metrics;
-  std::vector<WindowStats> windows;
-  WindowedMetrics::SteadyState steady;
 };
 
 class ExperimentRunner {

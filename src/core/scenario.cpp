@@ -47,6 +47,10 @@ ScenarioParams ScenarioParams::from_env() {
 
 namespace {
 
+/// Spider (LP) pair cap of the Ripple-scale scenarios: the dense offline
+/// simplex cannot model their demand-pair counts in full.
+constexpr int kRippleScaleLpPairs = 900;
+
 /// Per-scenario defaults that ScenarioParams' zero-values fall back to.
 struct Defaults {
   int payments;
@@ -55,6 +59,7 @@ struct Defaults {
   NodeId nodes;
   std::uint64_t topology_seed = 1;
   std::uint64_t traffic_seed = 1;
+  int lp_max_pairs = 0;
 };
 
 struct Resolved {
@@ -64,6 +69,7 @@ struct Resolved {
   NodeId nodes;
   std::uint64_t topology_seed;
   std::uint64_t traffic_seed;
+  int lp_max_pairs;
 };
 
 Resolved resolve(const ScenarioParams& p, const Defaults& d) {
@@ -75,19 +81,21 @@ Resolved resolve(const ScenarioParams& p, const Defaults& d) {
   r.nodes = p.nodes > 0 ? p.nodes : d.nodes;
   r.topology_seed = p.topology_seed != 0 ? p.topology_seed : d.topology_seed;
   r.traffic_seed = p.traffic_seed != 0 ? p.traffic_seed : d.traffic_seed;
+  r.lp_max_pairs = d.lp_max_pairs;  // apply_cross_knobs overrides it
   return r;
 }
 
 /// Applies the knobs every scenario honours regardless of how it builds
-/// its trace: candidate paths and the sender-resilience /
-/// fault-seed overrides (all "0 = keep the config default").
+/// its trace: the LP pair cap, candidate paths, sender resilience, fault
+/// seed and transport (all "0 = keep the scenario's default").
 void apply_cross_knobs(SpiderConfig& config, const ScenarioParams& p) {
+  if (p.lp_max_pairs > 0) config.lp_max_pairs = p.lp_max_pairs;
   if (p.paths_k > 0) config.num_paths = p.paths_k;
   if (p.retry_limit > 0) config.sim.retry_limit = p.retry_limit;
   if (p.retry_backoff_ms > 0)
     config.sim.retry_backoff = milliseconds(p.retry_backoff_ms);
   if (p.payment_deadline_ms > 0)
-    config.sim.payment_deadline = milliseconds(p.payment_deadline_ms);
+    config.sim.default_deadline = milliseconds(p.payment_deadline_ms);
   if (p.fault_seed != 0) config.sim.fault_seed = p.fault_seed;
   if (p.transport > 0) {
     config.sim.transport.enabled = true;
@@ -105,24 +113,65 @@ void apply_cross_knobs(SpiderConfig& config, const ScenarioParams& p) {
     config.sim.transport.pace_interval = milliseconds(p.pace_interval_ms);
 }
 
-/// Finishes a scenario: synthesizes the trace over `graph` with `sizes`,
-/// applying the cross-scenario knobs (SPIDER_PATHS_K, the retry/fault
-/// overrides) to the config.
-ScenarioInstance materialize(std::string name, Graph graph,
-                             SpiderConfig config, const Resolved& r,
+/// The step every scenario finishes through: bundles the graph and trace
+/// with the default config under the scenario's LP pair cap and the cross
+/// knobs.
+ScenarioInstance finish(std::string name, Graph graph,
+                        std::vector<PaymentSpec> trace, const Resolved& r,
+                        const ScenarioParams& p) {
+  ScenarioInstance instance;
+  instance.name = std::move(name);
+  instance.graph = std::move(graph);
+  instance.trace = std::move(trace);
+  instance.config.lp_max_pairs = r.lp_max_pairs;
+  apply_cross_knobs(instance.config, p);
+  return instance;
+}
+
+/// Finishes a scenario whose trace is the §6.1 synthetic workload over
+/// `graph` with `sizes`.
+ScenarioInstance materialize(std::string name, Graph graph, const Resolved& r,
                              const SizeDistribution& sizes,
                              const ScenarioParams& p) {
-  apply_cross_knobs(config, p);
   TrafficConfig traffic;
   traffic.tx_per_second = r.tx_per_second;
   traffic.seed = r.traffic_seed;
   TrafficGenerator generator(graph.num_nodes(), traffic, sizes);
-  ScenarioInstance instance;
-  instance.name = std::move(name);
-  instance.trace = generator.generate(r.payments);
-  instance.graph = std::move(graph);
-  instance.config = config;
-  return instance;
+  std::vector<PaymentSpec> trace = generator.generate(r.payments);
+  return finish(std::move(name), std::move(graph), std::move(trace), r, p);
+}
+
+/// The churn plan of the dynamic-topology scenarios: `mode` unless
+/// SPIDER_CHURN_MODE overrides it, SPIDER_CHURN_RATE events/s (default 2)
+/// over [start, stop), seeded by the topology seed.
+ChurnConfig churn_plan(const ScenarioParams& p, const Resolved& r,
+                       ChurnMode mode, TimePoint start, TimePoint stop) {
+  ChurnConfig churn;
+  churn.mode = p.churn_mode.empty() ? mode : churn_mode_from_name(p.churn_mode);
+  churn.events_per_second = p.churn_rate > 0 ? p.churn_rate : 2.0;
+  churn.start = start;
+  churn.stop = stop;
+  churn.seed = r.topology_seed;
+  return churn;
+}
+
+/// The fault plan of the adversarial scenarios: `mode` unless
+/// SPIDER_FAULT_MODE overrides it, over [start, stop), with the
+/// SPIDER_FAULT_RATE / SPIDER_FAULT_NODES / SPIDER_LOSS_PROB /
+/// SPIDER_FAULT_SEED overrides (defaults 1/s, 3 nodes, 5%, topology seed).
+FaultScheduleConfig fault_plan(const ScenarioParams& p, const Resolved& r,
+                               FaultMode mode, TimePoint start,
+                               TimePoint stop) {
+  FaultScheduleConfig faults;
+  faults.mode =
+      p.fault_mode.empty() ? mode : fault_mode_from_name(p.fault_mode);
+  faults.start = start;
+  faults.stop = stop;
+  faults.events_per_second = p.fault_rate > 0 ? p.fault_rate : 1.0;
+  faults.node_count = p.fault_nodes > 0 ? p.fault_nodes : 3;
+  faults.loss_probability = p.loss_prob > 0 ? p.loss_prob : 0.05;
+  faults.seed = p.fault_seed != 0 ? p.fault_seed : r.topology_seed;
+  return faults;
 }
 
 }  // namespace
@@ -136,20 +185,18 @@ ScenarioRegistry::ScenarioRegistry() {
       [](const ScenarioParams& p) {
         const Resolved r = resolve(p, {6000, 400.0, 3000, 32});
         Graph graph = isp_topology(r.capacity, r.topology_seed);
-        return materialize("isp", std::move(graph), SpiderConfig{}, r,
+        return materialize("isp", std::move(graph), r,
                            *ripple_synthetic_sizes(), p);
       });
   add("ripple-like",
       "Barabási–Albert credit graph matching the pruned Ripple snapshot's "
       "edge/node ratio; Ripple-subgraph transaction sizes (mean 345 XRP)",
       [](const ScenarioParams& p) {
-        const Resolved r = resolve(p, {4000, 400.0, 3000, 60, 1, 2});
+        const Resolved r =
+            resolve(p, {4000, 400.0, 3000, 60, 1, 2, kRippleScaleLpPairs});
         Graph graph =
             ripple_like_topology(r.nodes, r.capacity, r.topology_seed);
-        SpiderConfig config;
-        // Keep the dense offline LP tractable at Ripple-scale pair counts.
-        config.lp_max_pairs = p.lp_max_pairs > 0 ? p.lp_max_pairs : 900;
-        return materialize("ripple-like", std::move(graph), config, r,
+        return materialize("ripple-like", std::move(graph), r,
                            *ripple_subgraph_sizes(), p);
       });
   add("ripple-full",
@@ -157,14 +204,11 @@ ScenarioRegistry::ScenarioRegistry() {
       "full scale (3774 nodes, ~11.3k channels) with the §6.1 workload "
       "defaults (200k payments @ 1000 tx/s, Ripple-subgraph sizes)",
       [](const ScenarioParams& p) {
-        const Resolved r = resolve(p, {200000, 1000.0, 3000, 3774, 1, 2});
+        const Resolved r = resolve(
+            p, {200000, 1000.0, 3000, 3774, 1, 2, kRippleScaleLpPairs});
         Graph graph =
             ripple_like_topology(r.nodes, r.capacity, r.topology_seed);
-        SpiderConfig config;
-        // Same LP pair cap as ripple-like: the dense offline simplex cannot
-        // model millions of demand pairs.
-        config.lp_max_pairs = p.lp_max_pairs > 0 ? p.lp_max_pairs : 900;
-        return materialize("ripple-full", std::move(graph), config, r,
+        return materialize("ripple-full", std::move(graph), r,
                            *ripple_subgraph_sizes(), p);
       });
 
@@ -175,13 +219,10 @@ ScenarioRegistry::ScenarioRegistry() {
       "dynamic-workload stress case for the session API's windowed "
       "steady-state measurement",
       [](const ScenarioParams& p) {
-        const Resolved r = resolve(p, {4000, 400.0, 3000, 60, 1, 4});
+        const Resolved r =
+            resolve(p, {4000, 400.0, 3000, 60, 1, 4, kRippleScaleLpPairs});
         Graph graph =
             ripple_like_topology(r.nodes, r.capacity, r.topology_seed);
-        SpiderConfig config;
-        // Same LP pair cap as ripple-like (dense offline simplex limit).
-        config.lp_max_pairs = p.lp_max_pairs > 0 ? p.lp_max_pairs : 900;
-        apply_cross_knobs(config, p);
 
         // Piecewise-rate trace: each phase draws from its own generator
         // stream (deterministic in the traffic seed) and is shifted to
@@ -213,13 +254,8 @@ ScenarioRegistry::ScenarioRegistry() {
           if (!part.empty()) offset = part.back().arrival;
           trace.insert(trace.end(), part.begin(), part.end());
         }
-
-        ScenarioInstance instance;
-        instance.name = "flash-crowd";
-        instance.graph = std::move(graph);
-        instance.config = config;
-        instance.trace = std::move(trace);
-        return instance;
+        return finish("flash-crowd", std::move(graph), std::move(trace), r,
+                      p);
       });
 
   add("lightning-churn",
@@ -233,18 +269,14 @@ ScenarioRegistry::ScenarioRegistry() {
         Rng rng(r.topology_seed);
         Graph graph = barabasi_albert_topology(r.nodes, 5, r.capacity, rng);
         ScenarioInstance instance =
-            materialize("lightning-churn", std::move(graph), SpiderConfig{},
-                        r, *ripple_synthetic_sizes(), p);
+            materialize("lightning-churn", std::move(graph), r,
+                        *ripple_synthetic_sizes(), p);
         const TimePoint span = instance.trace.back().arrival;
-        ChurnConfig churn;
-        churn.mode = p.churn_mode.empty()
-                         ? ChurnMode::kUniform
-                         : churn_mode_from_name(p.churn_mode);
-        churn.events_per_second = p.churn_rate > 0 ? p.churn_rate : 2.0;
-        churn.start = span / 10;  // let the network warm before churning
-        churn.stop = span;
-        churn.seed = r.topology_seed;
-        instance.churn = ChurnSchedule(instance.graph, churn).generate();
+        // Let the network warm before churning.
+        instance.churn =
+            ChurnSchedule(instance.graph, churn_plan(p, r, ChurnMode::kUniform,
+                                                     span / 10, span))
+                .generate();
         return instance;
       });
   add("partition-heal",
@@ -254,25 +286,19 @@ ScenarioRegistry::ScenarioRegistry() {
       "channel per severed one opens at two-thirds — watch cross-partition "
       "success collapse and recover through WindowedMetrics",
       [](const ScenarioParams& p) {
-        const Resolved r = resolve(p, {4000, 400.0, 3000, 60, 1, 2});
+        const Resolved r =
+            resolve(p, {4000, 400.0, 3000, 60, 1, 2, kRippleScaleLpPairs});
         Graph graph =
             ripple_like_topology(r.nodes, r.capacity, r.topology_seed);
-        SpiderConfig config;
-        // Same LP pair cap as ripple-like (dense offline simplex limit).
-        config.lp_max_pairs = p.lp_max_pairs > 0 ? p.lp_max_pairs : 900;
         ScenarioInstance instance =
-            materialize("partition-heal", std::move(graph), config, r,
+            materialize("partition-heal", std::move(graph), r,
                         *ripple_subgraph_sizes(), p);
         const TimePoint span = instance.trace.back().arrival;
-        ChurnConfig churn;
-        churn.mode = p.churn_mode.empty()
-                         ? ChurnMode::kPartitionHeal
-                         : churn_mode_from_name(p.churn_mode);
-        churn.events_per_second = p.churn_rate > 0 ? p.churn_rate : 2.0;
-        churn.start = span / 3;
-        churn.stop = 2 * span / 3;
-        churn.seed = r.topology_seed;
-        instance.churn = ChurnSchedule(instance.graph, churn).generate();
+        instance.churn =
+            ChurnSchedule(instance.graph,
+                          churn_plan(p, r, ChurnMode::kPartitionHeal,
+                                     span / 3, 2 * span / 3))
+                .generate();
         return instance;
       });
 
@@ -285,27 +311,19 @@ ScenarioRegistry::ScenarioRegistry() {
       "attack-resilience case for path diversity: schemes that spread load "
       "across k edge-disjoint paths keep routing around the crater",
       [](const ScenarioParams& p) {
-        const Resolved r = resolve(p, {4000, 400.0, 3000, 60, 1, 2});
+        const Resolved r =
+            resolve(p, {4000, 400.0, 3000, 60, 1, 2, kRippleScaleLpPairs});
         Graph graph =
             ripple_like_topology(r.nodes, r.capacity, r.topology_seed);
-        SpiderConfig config;
-        // Same LP pair cap as ripple-like (dense offline simplex limit).
-        config.lp_max_pairs = p.lp_max_pairs > 0 ? p.lp_max_pairs : 900;
         ScenarioInstance instance =
-            materialize("hub-drain", std::move(graph), config, r,
+            materialize("hub-drain", std::move(graph), r,
                         *ripple_subgraph_sizes(), p);
         const TimePoint span = instance.trace.back().arrival;
-        FaultScheduleConfig faults;
-        faults.mode = p.fault_mode.empty()
-                          ? FaultMode::kHubDrain
-                          : fault_mode_from_name(p.fault_mode);
-        faults.start = span / 3;
-        faults.stop = 2 * span / 3;
-        faults.events_per_second = p.fault_rate > 0 ? p.fault_rate : 1.0;
-        faults.node_count = p.fault_nodes > 0 ? p.fault_nodes : 3;
-        faults.loss_probability = p.loss_prob > 0 ? p.loss_prob : 0.05;
-        faults.seed = p.fault_seed != 0 ? p.fault_seed : r.topology_seed;
-        instance.faults = FaultSchedule(instance.graph, faults).generate();
+        instance.faults =
+            FaultSchedule(instance.graph,
+                          fault_plan(p, r, FaultMode::kHubDrain, span / 3,
+                                     2 * span / 3))
+                .generate();
         return instance;
       });
   add("lossy-network",
@@ -318,20 +336,14 @@ ScenarioRegistry::ScenarioRegistry() {
         const Resolved r = resolve(p, {6000, 400.0, 3000, 32});
         Graph graph = isp_topology(r.capacity, r.topology_seed);
         ScenarioInstance instance =
-            materialize("lossy-network", std::move(graph), SpiderConfig{}, r,
+            materialize("lossy-network", std::move(graph), r,
                         *ripple_synthetic_sizes(), p);
         const TimePoint span = instance.trace.back().arrival;
-        FaultScheduleConfig faults;
-        faults.mode = p.fault_mode.empty()
-                          ? FaultMode::kLossyNetwork
-                          : fault_mode_from_name(p.fault_mode);
-        faults.start = span / 10;
-        faults.stop = span;
-        faults.events_per_second = p.fault_rate > 0 ? p.fault_rate : 1.0;
-        faults.node_count = p.fault_nodes > 0 ? p.fault_nodes : 3;
-        faults.loss_probability = p.loss_prob > 0 ? p.loss_prob : 0.05;
-        faults.seed = p.fault_seed != 0 ? p.fault_seed : r.topology_seed;
-        instance.faults = FaultSchedule(instance.graph, faults).generate();
+        instance.faults =
+            FaultSchedule(instance.graph,
+                          fault_plan(p, r, FaultMode::kLossyNetwork,
+                                     span / 10, span))
+                .generate();
         return instance;
       });
   add("griefing",
@@ -342,26 +354,16 @@ ScenarioRegistry::ScenarioRegistry() {
       "flood (one-quarter of the benign rate) drags honest escrow into "
       "their channels. The capacity-exhaustion attack HTLC deadlines bound",
       [](const ScenarioParams& p) {
-        const Resolved r = resolve(p, {4000, 400.0, 3000, 60, 1, 2});
+        const Resolved r =
+            resolve(p, {4000, 400.0, 3000, 60, 1, 2, kRippleScaleLpPairs});
         Graph graph =
             ripple_like_topology(r.nodes, r.capacity, r.topology_seed);
-        SpiderConfig config;
-        // Same LP pair cap as ripple-like (dense offline simplex limit).
-        config.lp_max_pairs = p.lp_max_pairs > 0 ? p.lp_max_pairs : 900;
         ScenarioInstance instance =
-            materialize("griefing", std::move(graph), config, r,
+            materialize("griefing", std::move(graph), r,
                         *ripple_subgraph_sizes(), p);
         const TimePoint span = instance.trace.back().arrival;
-        FaultScheduleConfig faults;
-        faults.mode = p.fault_mode.empty()
-                          ? FaultMode::kGriefing
-                          : fault_mode_from_name(p.fault_mode);
-        faults.start = span / 4;
-        faults.stop = 3 * span / 4;
-        faults.events_per_second = p.fault_rate > 0 ? p.fault_rate : 1.0;
-        faults.node_count = p.fault_nodes > 0 ? p.fault_nodes : 3;
-        faults.loss_probability = p.loss_prob > 0 ? p.loss_prob : 0.05;
-        faults.seed = p.fault_seed != 0 ? p.fault_seed : r.topology_seed;
+        const FaultScheduleConfig faults =
+            fault_plan(p, r, FaultMode::kGriefing, span / 4, 3 * span / 4);
         const FaultSchedule schedule(instance.graph, faults);
         instance.faults = schedule.generate();
 
@@ -417,24 +419,20 @@ ScenarioRegistry::ScenarioRegistry() {
           throw std::invalid_argument(
               "trace-replay: set SPIDER_TRACE_FILE and SPIDER_TOPOLOGY_FILE "
               "(ScenarioParams::trace_file / topology_file)");
-        ScenarioInstance instance;
-        instance.name = "trace-replay";
-        instance.graph = read_topology_any(p.topology_file);
-        if (p.capacity_xrp > 0)
-          instance.graph.set_uniform_capacity(xrp(p.capacity_xrp));
-        instance.trace = read_trace_any(p.trace_file);
-        if (p.payments > 0 &&
-            instance.trace.size() > static_cast<std::size_t>(p.payments))
-          instance.trace.resize(static_cast<std::size_t>(p.payments));
-        validate_trace_nodes(instance.trace.data(), instance.trace.size(),
-                             instance.graph.num_nodes());
-        SpiderConfig config;
-        // Imported snapshots can be Ripple-scale; cap the dense offline LP
-        // the same way the ripple-like scenarios do.
-        config.lp_max_pairs = p.lp_max_pairs > 0 ? p.lp_max_pairs : 900;
-        apply_cross_knobs(config, p);
-        instance.config = config;
-        return instance;
+        // Zero defaults: the files' own capacities and length stand unless
+        // overridden. Imported snapshots can be Ripple-scale, so the LP
+        // cap matches the ripple-like scenarios'.
+        const Resolved r =
+            resolve(p, {0, 0.0, 0, 0, 1, 1, kRippleScaleLpPairs});
+        Graph graph = read_topology_any(p.topology_file);
+        if (r.capacity > 0) graph.set_uniform_capacity(r.capacity);
+        std::vector<PaymentSpec> trace = read_trace_any(p.trace_file);
+        if (r.payments > 0 &&
+            trace.size() > static_cast<std::size_t>(r.payments))
+          trace.resize(static_cast<std::size_t>(r.payments));
+        validate_trace_nodes(trace.data(), trace.size(), graph.num_nodes());
+        return finish("trace-replay", std::move(graph), std::move(trace), r,
+                      p);
       });
 
   // --- Synthetic families for scaling studies beyond the paper ---
@@ -444,7 +442,7 @@ ScenarioRegistry::ScenarioRegistry() {
         const Resolved r = resolve(p, {4000, 300.0, 2000, 100});
         Rng rng(r.topology_seed);
         Graph graph = barabasi_albert_topology(r.nodes, 2, r.capacity, rng);
-        return materialize("scale-free", std::move(graph), SpiderConfig{}, r,
+        return materialize("scale-free", std::move(graph), r,
                            *ripple_synthetic_sizes(), p);
       });
   add("lightning-snapshot-synthetic",
@@ -455,7 +453,7 @@ ScenarioRegistry::ScenarioRegistry() {
         Rng rng(r.topology_seed);
         Graph graph = barabasi_albert_topology(r.nodes, 5, r.capacity, rng);
         return materialize("lightning-snapshot-synthetic", std::move(graph),
-                           SpiderConfig{}, r, *ripple_synthetic_sizes(), p);
+                           r, *ripple_synthetic_sizes(), p);
       });
   add("hub-spoke",
       "Single-hub star: every payment crosses the hub — the worst case for "
@@ -463,7 +461,7 @@ ScenarioRegistry::ScenarioRegistry() {
       [](const ScenarioParams& p) {
         const Resolved r = resolve(p, {3000, 200.0, 4000, 24});
         Graph graph = star_topology(r.nodes, r.capacity);
-        return materialize("hub-spoke", std::move(graph), SpiderConfig{}, r,
+        return materialize("hub-spoke", std::move(graph), r,
                            *ripple_synthetic_sizes(), p);
       });
   add("small-world",
@@ -474,8 +472,8 @@ ScenarioRegistry::ScenarioRegistry() {
         Rng rng(r.topology_seed);
         Graph graph =
             watts_strogatz_topology(r.nodes, 4, 0.1, r.capacity, rng);
-        return materialize("small-world", std::move(graph), SpiderConfig{},
-                           r, *ripple_synthetic_sizes(), p);
+        return materialize("small-world", std::move(graph), r,
+                           *ripple_synthetic_sizes(), p);
       });
 }
 

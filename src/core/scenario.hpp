@@ -81,7 +81,7 @@ struct ScenarioParams {
 
 /// A fully materialized scenario: what the runner executes a scheme over.
 /// Every surface that consumes it (runner grids, benches) hands `churn`
-/// and `faults` to SpiderNetwork::run or run_windowed with the trace, so a
+/// and `faults` to SpiderNetwork::run_streams with the trace, so a
 /// non-empty stream makes it a dynamic-topology or adversarial scenario
 /// and empty ones schedule nothing.
 struct ScenarioInstance {

@@ -83,13 +83,28 @@ SimMetrics SpiderNetwork::run(Scheme scheme,
                               std::uint64_t seed,
                               const std::vector<TopologyChange>& churn,
                               const std::vector<FaultEvent>& faults) const {
+  return run_streams(scheme, trace, seed, churn, faults).metrics;
+}
+
+RunResult SpiderNetwork::run_streams(Scheme scheme,
+                                     const std::vector<PaymentSpec>& trace,
+                                     std::uint64_t seed,
+                                     const std::vector<TopologyChange>& churn,
+                                     const std::vector<FaultEvent>& faults,
+                                     Duration metrics_window,
+                                     Duration warmup) const {
+  const bool windowed = metrics_window > 0;
   SessionOptions options;
   options.demand_hint = &trace;
+  if (windowed) options.metrics_window = metrics_window;
   SimSession batch = session(scheme, seed, options);
+  WindowedMetrics observer(warmup);
+  if (windowed) batch.attach(observer);
   batch.submit_topology(churn);
   batch.submit_faults(faults);
   batch.submit(trace);
-  return batch.drain();
+  // Unattached, the observer saw no window and harvests empty.
+  return RunResult{batch.drain(), observer.windows(), observer.steady_state()};
 }
 
 double SpiderNetwork::workload_circulation_fraction(

@@ -19,9 +19,19 @@
 #include "core/config.hpp"
 #include "core/session.hpp"
 #include "fluid/circulation.hpp"
+#include "sim/observers.hpp"
 #include "workload/traffic.hpp"
 
 namespace spider {
+
+/// One finished batch run: the lifetime metrics plus, when the run had a
+/// positive metrics window, the per-window series and the warmup-excluded
+/// steady-state aggregate (empty and zero otherwise).
+struct RunResult {
+  SimMetrics metrics;
+  std::vector<WindowStats> windows;
+  WindowedMetrics::SteadyState steady;
+};
 
 class SpiderNetwork {
  public:
@@ -46,19 +56,29 @@ class SpiderNetwork {
   /// session() with the configured simulation seed.
   [[nodiscard]] SimSession session(Scheme scheme) const;
 
-  /// Runs `scheme` over `trace` on a fresh network instance — a thin batch
-  /// wrapper over session(): submit the three input streams in the
-  /// canonical order (DESIGN.md "Input chains"), drain, return the final
-  /// metrics. `seed` replaces the simulation seed — the seed axis of an
-  /// experiment grid (default: the configured one). Thread-safe: run()
-  /// shares nothing mutable, so independent runs (the ExperimentRunner
-  /// grid) may execute concurrently on one SpiderNetwork.
+  /// Runs `scheme` over `trace` on a fresh network instance and returns the
+  /// final metrics: run_streams(...).metrics with no window. The two-argument
+  /// form uses the configured simulation seed.
   [[nodiscard]] SimMetrics run(Scheme scheme,
                                const std::vector<PaymentSpec>& trace) const;
   [[nodiscard]] SimMetrics run(
       Scheme scheme, const std::vector<PaymentSpec>& trace,
       std::uint64_t seed, const std::vector<TopologyChange>& churn = {},
       const std::vector<FaultEvent>& faults = {}) const;
+
+  /// The one batch run body behind run(), run_schemes, the ExperimentRunner
+  /// grid and bench_throughput: opens a session with `seed` as the
+  /// simulation seed (the seed axis of a grid), submits the three input
+  /// streams in the canonical order (DESIGN.md "Input chains"), and drains.
+  /// A positive `metrics_window` attaches a WindowedMetrics observer that
+  /// excludes `warmup`; the lifetime metrics are the same bytes either way.
+  /// Thread-safe: runs share nothing mutable, so independent runs may
+  /// execute concurrently on one SpiderNetwork.
+  [[nodiscard]] RunResult run_streams(
+      Scheme scheme, const std::vector<PaymentSpec>& trace,
+      std::uint64_t seed, const std::vector<TopologyChange>& churn = {},
+      const std::vector<FaultEvent>& faults = {}, Duration metrics_window = 0,
+      Duration warmup = 0) const;
 
   /// ν(C*) / total demand for the trace's estimated demand matrix — the
   /// Prop. 1 ceiling on balanced-routing success volume.

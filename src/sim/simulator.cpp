@@ -20,7 +20,6 @@ Simulator::Simulator(Network& network, Router& router, SimConfig config)
   SPIDER_ASSERT(config.admission_cap >= 0);
   SPIDER_ASSERT(config.retry_limit >= 0);
   SPIDER_ASSERT(config.retry_backoff >= 0);
-  SPIDER_ASSERT(config.payment_deadline >= 0);
   SPIDER_ASSERT(config.transport.mark_threshold > 0);
   SPIDER_ASSERT(config.transport.pace_interval >= 0);
   SPIDER_ASSERT(config.transport.initial_window > 0);
@@ -292,12 +291,8 @@ void Simulator::handle_arrival(std::size_t trace_index) {
   p.dst = spec.dst;
   p.total = spec.amount;
   p.arrival = spec.arrival;
-  const Duration rel =
-      spec.deadline > 0 ? spec.deadline
-      : config_.payment_deadline > 0
-          ? config_.payment_deadline
-          : config_.default_deadline;
-  p.deadline = spec.arrival + rel;
+  p.deadline = spec.arrival +
+               (spec.deadline > 0 ? spec.deadline : config_.default_deadline);
   p.atomic = router_->is_atomic();
   payments_.push_back(p);
   in_pending_.push_back(0);
@@ -787,7 +782,6 @@ void Simulator::serve_channel_queue(EdgeId edge, int side) {
     const bool over_threshold = leave_queue(ci);
     if (transport_on() && over_threshold && !chunk.marked) {
       chunk.marked = true;  // one bit: further marks on the unit are no-ops
-      transport_queues_.count_mark();
       metrics_.chunks_marked += 1;
     }
     network_->lock_one(edge, side, chunk.amount);

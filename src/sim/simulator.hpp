@@ -57,7 +57,9 @@ struct SimConfig {
   /// Maximum transaction-unit size (§4): caps each chunk per attempt.
   /// 0 = uncapped (chunk granularity limited only by path balance).
   Amount mtu = 0;
-  /// Deadline applied to payments whose spec carries none.
+  /// Deadline applied to payments whose spec carries none — the one
+  /// deadline knob (registry scenarios set it from
+  /// SPIDER_PAYMENT_DEADLINE_MS).
   Duration default_deadline = seconds(5.0);
   /// Seed for the router's RNG stream.
   std::uint64_t seed = 99;
@@ -100,9 +102,6 @@ struct SimConfig {
   /// waits retry_backoff * 2^(k-1) (capped at 2^20) before the pending
   /// queue will try it again. 0 = retry every poll round.
   Duration retry_backoff = 0;
-  /// Overrides default_deadline for payments whose spec carries no
-  /// deadline. 0 = use default_deadline.
-  Duration payment_deadline = 0;
   /// Base seed for per-channel message-loss streams (sim/fault.hpp).
   /// 0 = derive from `seed`, so faulted runs are reproducible without
   /// configuring anything extra.

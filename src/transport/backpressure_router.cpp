@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "transport/greedy_plan.hpp"
+
 namespace spider {
 
 BackpressureRouter::BackpressureRouter(int num_paths, PathSelection selection)
@@ -48,49 +50,8 @@ std::vector<ChunkPlan> BackpressureRouter::plan(const Payment& payment,
     return a < b;
   });
 
-  std::vector<ChunkPlan> chunks;
-  Amount left = amount;
-  if (queues_ != nullptr) {
-    // Router-queue mode: clamp at the first hop only, like the engine's own
-    // dispatch rule — downstream shortfalls queue, and that backlog is the
-    // signal steering the next plan.
-    struct FirstHopUse {
-      EdgeId edge;
-      int side;
-      Amount used;
-    };
-    std::vector<FirstHopUse> used;
-    for (std::size_t idx : order) {
-      if (left <= 0) break;
-      const Path& p = paths[idx];
-      const EdgeId e = p.edges.front();
-      const Channel& ch = network.channel(e);
-      const int side = ch.side_of(p.nodes.front());
-      Amount avail = ch.balance(side);
-      for (const FirstHopUse& u : used)
-        if (u.edge == e && u.side == side) avail -= u.used;
-      const Amount sendable = std::min(left, avail);
-      if (sendable <= 0) continue;
-      used.push_back({e, side, sendable});
-      chunks.push_back(ChunkPlan{&p, sendable});
-      left -= sendable;
-    }
-    return chunks;
-  }
-
-  // No bank bound (source-queue mode): plans must be whole-path feasible.
-  virtual_balances_.attach(network);
-  for (std::size_t idx : order) {
-    if (left <= 0) break;
-    const Path& p = paths[idx];
-    const Amount sendable =
-        std::min(left, virtual_balances_.path_bottleneck(p));
-    if (sendable <= 0) continue;
-    virtual_balances_.use(p, sendable);
-    chunks.push_back(ChunkPlan{&p, sendable});
-    left -= sendable;
-  }
-  return chunks;
+  return plan_greedy(paths, order, amount, network, queues_ != nullptr,
+                     virtual_balances_);
 }
 
 }  // namespace spider

@@ -107,7 +107,6 @@ class RouterQueueBank {
     high_water_.assign(num_edges, {SideHighWater{}, SideHighWater{}});
     total_value_ = 0;
     total_chunks_ = 0;
-    marks_ = 0;
   }
 
   /// A channel opened mid-run: grow the flat tables (mirrors the engine's
@@ -146,8 +145,6 @@ class RouterQueueBank {
     return wait > mark_threshold_;
   }
 
-  void count_mark() { marks_ += 1; }
-
   [[nodiscard]] Duration mark_threshold() const { return mark_threshold_; }
   [[nodiscard]] std::size_t num_edges() const { return depth_.size(); }
   /// Live depth of one (edge, side) queue (hot array).
@@ -157,8 +154,6 @@ class RouterQueueBank {
   /// Aggregate live depth across every channel queue.
   [[nodiscard]] Amount total_value() const { return total_value_; }
   [[nodiscard]] std::size_t total_chunks() const { return total_chunks_; }
-  /// Lifetime one-bit marks set (transport-enabled runs only).
-  [[nodiscard]] std::int64_t marks() const { return marks_; }
   /// Nonzero per-channel high-water marks, sorted by (edge, side).
   [[nodiscard]] std::vector<ChannelHighWater> high_water() const;
 
@@ -174,7 +169,6 @@ class RouterQueueBank {
   std::vector<std::array<SideHighWater, 2>> high_water_;
   Amount total_value_ = 0;
   std::size_t total_chunks_ = 0;
-  std::int64_t marks_ = 0;
 };
 
 }  // namespace spider

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 
 #include "core/experiment.hpp"
 #include "core/spider.hpp"
+#include "test_support.hpp"
 #include "topology/topology.hpp"
 
 namespace spider {
@@ -172,11 +174,14 @@ TEST(Experiment, CsvDumpHonoursEnv) {
   Table t({"a", "b"});
   t.add_row({"1", "2"});
   ::unsetenv("SPIDER_BENCH_CSV_DIR");
-  EXPECT_NO_THROW(maybe_write_csv("unit_test", t));  // no-op without env
-  const std::string dir = testing::TempDir();
-  ::setenv("SPIDER_BENCH_CSV_DIR", dir.c_str(), 1);
-  maybe_write_csv("unit_test", t);
-  std::ifstream in(dir + "/unit_test.csv");
+  const ScopedTempFile file("spider_unit_test.csv");
+  const std::filesystem::path path(file.path());
+  const std::string name = path.stem().string();
+  EXPECT_NO_THROW(maybe_write_csv(name, t));  // no-op without env
+  EXPECT_FALSE(std::filesystem::exists(path));
+  ::setenv("SPIDER_BENCH_CSV_DIR", path.parent_path().c_str(), 1);
+  maybe_write_csv(name, t);
+  std::ifstream in(file.path());
   ASSERT_TRUE(in.good());
   std::string line;
   ASSERT_TRUE(std::getline(in, line));

@@ -290,7 +290,7 @@ TEST(FaultInjection, PaymentDeadlineProducesDeadlineMisses) {
     faults.push_back(FaultEvent::loss(0, e, 0.3));
 
   SpiderConfig tight = scenario.config;
-  tight.sim.payment_deadline = milliseconds(200);
+  tight.sim.default_deadline = milliseconds(200);
   const SimMetrics rushed =
       SpiderNetwork(scenario.graph, tight)
           .run(Scheme::kSpiderWaterfilling, scenario.trace, 7, {}, faults);
@@ -303,7 +303,7 @@ TEST(FaultInjection, PaymentDeadlineProducesDeadlineMisses) {
             static_cast<std::int64_t>(scenario.trace.size()));
   // A roomy deadline lets retries land where the tight one expired.
   SpiderConfig roomy = scenario.config;
-  roomy.sim.payment_deadline = seconds(10.0);
+  roomy.sim.default_deadline = seconds(10.0);
   const SimMetrics patient =
       SpiderNetwork(scenario.graph, roomy)
           .run(Scheme::kSpiderWaterfilling, scenario.trace, 7, {}, faults);
@@ -319,7 +319,7 @@ TEST(FaultInjection, ConfigRejectsNegativeResilienceKnobs) {
   config.sim.retry_backoff = -1;
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config.sim.retry_backoff = 0;
-  config.sim.payment_deadline = -1;
+  config.sim.default_deadline = -1;
   EXPECT_THROW(config.validate(), std::invalid_argument);
 }
 
@@ -405,19 +405,19 @@ TEST(FaultSchedule, RejectsInvalidConfigs) {
 
 // --- Fault CSV round-trip ---------------------------------------------
 
-std::string write_temp(const std::string& name, const std::string& body) {
-  const std::string path = testing::TempDir() + "/" + name;
-  std::ofstream out(path, std::ios::trunc);
+ScopedTempFile write_temp(const std::string& name, const std::string& body) {
+  ScopedTempFile file(name);
+  std::ofstream out(file.path(), std::ios::trunc);
   out << body;
-  return path;
+  return file;
 }
 
 TEST(FaultCsv, RoundTripsEveryKindExactly) {
   const ScenarioInstance scenario = small_isp(50);
   const std::vector<FaultEvent> faults = mixed_schedule(scenario.graph);
-  const std::string path = testing::TempDir() + "/fault_roundtrip.csv";
-  write_fault_csv(path, faults);
-  const std::vector<FaultEvent> read = read_fault_csv(path);
+  const ScopedTempFile file("fault_roundtrip.csv");
+  write_fault_csv(file.path(), faults);
+  const std::vector<FaultEvent> read = read_fault_csv(file.path());
   ASSERT_EQ(read.size(), faults.size());
   for (std::size_t i = 0; i < faults.size(); ++i) {
     SCOPED_TRACE(i);
@@ -434,9 +434,9 @@ TEST(FaultCsv, GeneratedSchedulesRoundTrip) {
   config.loss_probability = 0.125;  // ppm-exact
   const std::vector<FaultEvent> faults =
       FaultSchedule(scenario.graph, config).generate();
-  const std::string path = testing::TempDir() + "/fault_generated.csv";
-  write_fault_csv(path, faults);
-  const std::vector<FaultEvent> read = read_fault_csv(path);
+  const ScopedTempFile file("fault_generated.csv");
+  write_fault_csv(file.path(), faults);
+  const std::vector<FaultEvent> read = read_fault_csv(file.path());
   ASSERT_EQ(read.size(), faults.size());
   for (std::size_t i = 0; i < faults.size(); ++i) EXPECT_EQ(read[i], faults[i]);
 }
@@ -446,8 +446,8 @@ TEST(FaultCsv, RejectsCorruptInput) {
   const auto expect_rejected = [&](const std::string& name,
                                    const std::string& body) {
     SCOPED_TRACE(name);
-    EXPECT_THROW((void)read_fault_csv(write_temp(name, body)),
-                 std::runtime_error);
+    const ScopedTempFile file = write_temp(name, body);
+    EXPECT_THROW((void)read_fault_csv(file.path()), std::runtime_error);
   };
   expect_rejected("missing.csv", "");  // cannot open is also an error
   expect_rejected("empty.csv", "\n");

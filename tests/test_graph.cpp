@@ -4,6 +4,7 @@
 #include "graph/graph.hpp"
 #include "graph/shortest_path.hpp"
 #include "graph/spanning_tree.hpp"
+#include "test_support.hpp"
 #include "topology/topology.hpp"
 
 namespace spider {
@@ -89,10 +90,10 @@ TEST(Graph, ParseRejectsMalformedInput) {
 }
 
 TEST(Graph, TopologyFileRoundTrip) {
-  const std::string path = testing::TempDir() + "/spider_topo_test.txt";
+  const ScopedTempFile file("spider_topo_test.txt");
   const Graph g = diamond();
-  save_topology(g, path);
-  const Graph loaded = load_topology(path);
+  save_topology(g, file.path());
+  const Graph loaded = load_topology(file.path());
   EXPECT_EQ(loaded.serialize(), g.serialize());
 }
 

@@ -9,6 +9,7 @@
 #include "core/experiment.hpp"
 #include "fluid/circulation.hpp"
 #include "topology/topology.hpp"
+#include "test_support.hpp"
 #include "workload/trace_io.hpp"
 
 namespace spider {
@@ -144,9 +145,9 @@ TEST(Integration, TraceFileDrivesIdenticalRun) {
   TrafficConfig traffic;
   traffic.tx_per_second = 100;
   const auto trace = net.synthesize_workload(400, traffic);
-  const std::string path = testing::TempDir() + "/spider_integration.csv";
-  write_trace_csv(path, trace);
-  const auto loaded = read_trace_csv(path);
+  const ScopedTempFile file("spider_integration.csv");
+  write_trace_csv(file.path(), trace);
+  const auto loaded = read_trace_csv(file.path());
   const SimMetrics direct = net.run(Scheme::kSpiderWaterfilling, trace);
   const SimMetrics from_file = net.run(Scheme::kSpiderWaterfilling, loaded);
   EXPECT_EQ(direct.delivered_volume, from_file.delivered_volume);

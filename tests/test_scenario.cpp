@@ -126,6 +126,16 @@ TEST(ScenarioRegistry, IspScenarioMatchesPaperTopologyShape) {
 }
 
 
+TEST(ScenarioRegistry, LpPairCapOverrideReachesEveryScenario) {
+  ScenarioParams params;
+  params.payments = 20;
+  params.lp_max_pairs = 123;
+  const ReplayFiles replay = provide_replay_files(params, 20);
+  for (const auto& entry : ScenarioRegistry::instance().list())
+    EXPECT_EQ(build_scenario(entry.name, params).config.lp_max_pairs, 123)
+        << entry.name;
+}
+
 // --- Golden registry instances ----------------------------------------------
 
 /// What a scenario build hands the runner, reduced to numbers: the

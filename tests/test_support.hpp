@@ -108,11 +108,12 @@ class ScopedTempFile {
  public:
   explicit ScopedTempFile(const std::string& name) {
     const std::size_t dot = name.rfind('.');
-    const std::string pid = "_" + std::to_string(::getpid());
-    path_ = testing::TempDir() + "/" +
-            (dot == std::string::npos
-                 ? name + pid
-                 : name.substr(0, dot) + pid + name.substr(dot));
+    path_ = testing::TempDir();
+    path_ += '/';
+    path_ += name.substr(0, dot);
+    path_ += '_';
+    path_ += std::to_string(::getpid());
+    if (dot != std::string::npos) path_ += name.substr(dot);
   }
   ~ScopedTempFile() {
     if (!path_.empty()) std::remove(path_.c_str());

@@ -107,38 +107,38 @@ TEST(TopologyCsv, RoundTripsTheIspGraph) {
 TEST(TopologyCsv, StrictImportErrors) {
   const auto write_topo = [&](const std::string& name,
                               const std::string& content) {
-    const std::string path = temp_path(name);
-    std::ofstream out(path);
+    ScopedTempFile file(name);
+    std::ofstream out(file.path());
     out << content;
-    return path;
+    return file;
   };
   const char* header = "node_a,node_b,capacity_millis\n";
   EXPECT_THROW(read_topology_csv("/nonexistent/topo.csv"),
                std::runtime_error);
   // Missing/foreign header.
   EXPECT_THROW(read_topology_csv(
-                   write_topo("topo_noheader.csv", "0,1,100\n")),
+                   write_topo("topo_noheader.csv", "0,1,100\n").path()),
                std::runtime_error);
   // Strict fields: trailing garbage, negative id, self-loop, zero escrow.
   const char* bad_rows[] = {"0,1,100abc\n", "-1,1,100\n", "2,2,100\n",
                             "0,1,0\n", "0,1\n"};
   int n = 0;
   for (const char* row : bad_rows) {
-    const std::string path = write_topo(
+    const ScopedTempFile file = write_topo(
         "topo_bad_" + std::to_string(n++) + ".csv",
         std::string(header) + row);
-    EXPECT_THROW(read_topology_csv(path), std::runtime_error) << row;
+    EXPECT_THROW(read_topology_csv(file.path()), std::runtime_error) << row;
   }
   // Header-only file has no channels.
-  EXPECT_THROW(read_topology_csv(write_topo("topo_empty.csv", header)),
+  EXPECT_THROW(read_topology_csv(write_topo("topo_empty.csv", header).path()),
                std::runtime_error);
   // CRLF + an isolated high node id are fine (snapshots need not be
   // connected, and the node count is max id + 1).
-  const std::string ok = write_topo(
+  const ScopedTempFile ok = write_topo(
       "topo_crlf.csv",
       std::string("node_a,node_b,capacity_millis\r\n") + "0,1,100\r\n" +
           "5,6,250\r\n");
-  const Graph g = read_topology_csv(ok);
+  const Graph g = read_topology_csv(ok.path());
   EXPECT_EQ(g.num_nodes(), 7);
   EXPECT_EQ(g.num_edges(), 2);
   EXPECT_FALSE(g.is_connected());
@@ -264,9 +264,9 @@ TEST(StreamingReplay, ResidentBufferBoundedByChunkSize) {
 TEST(StreamingReplay, ComposesWithObserversAndWindows) {
   const ReplayFixture fx;
   const Duration window = seconds(1.0);
-  const WindowedRun batch =
-      run_windowed(fx.net, Scheme::kSpiderWaterfilling, 7,
-                   fx.scenario.trace, window, /*warmup=*/seconds(1.0));
+  const RunResult batch =
+      fx.net.run_streams(Scheme::kSpiderWaterfilling, fx.scenario.trace, 7,
+                         {}, {}, window, /*warmup=*/seconds(1.0));
 
   TraceReader reader(fx.trace_path, TraceReaderOptions{128});
   WindowedMetrics windows(/*warmup=*/seconds(1.0));

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <set>
 
+#include "test_support.hpp"
 #include "util/amount.hpp"
 #include "util/assert.hpp"
 #include "util/csv.hpp"
@@ -238,13 +239,13 @@ TEST(Csv, SplitLineHandlesQuotes) {
 }
 
 TEST(Csv, WriterRoundTrip) {
-  const std::string path = testing::TempDir() + "/spider_csv_test.csv";
+  const ScopedTempFile file("spider_csv_test.csv");
   {
-    CsvWriter w(path);
+    CsvWriter w(file.path());
     w.write_row({"h1", "h2"});
     w.write_row({"x,y", "2"});
   }
-  std::ifstream in(path);
+  std::ifstream in(file.path());
   std::string line;
   ASSERT_TRUE(std::getline(in, line));
   EXPECT_EQ(line, "h1,h2");

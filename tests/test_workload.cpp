@@ -5,6 +5,7 @@
 #include <fstream>
 #include <limits>
 
+#include "test_support.hpp"
 #include "util/stats.hpp"
 #include "workload/size_dist.hpp"
 #include "workload/trace_io.hpp"
@@ -181,9 +182,9 @@ TEST(TraceIo, RoundTrip) {
   const auto sizes = ripple_synthetic_sizes();
   TrafficGenerator gen(8, TrafficConfig{}, *sizes);
   const auto trace = gen.generate(300);
-  const std::string path = testing::TempDir() + "/spider_trace_test.csv";
-  write_trace_csv(path, trace);
-  const auto loaded = read_trace_csv(path);
+  const ScopedTempFile file("spider_trace_test.csv");
+  write_trace_csv(file.path(), trace);
+  const auto loaded = read_trace_csv(file.path());
   ASSERT_EQ(loaded.size(), trace.size());
   for (std::size_t i = 0; i < trace.size(); ++i) {
     EXPECT_EQ(loaded[i].arrival, trace[i].arrival);
@@ -194,34 +195,30 @@ TEST(TraceIo, RoundTrip) {
   }
 }
 
-TEST(TraceIo, RejectsMalformedRows) {
-  const std::string path = testing::TempDir() + "/spider_trace_bad.csv";
-  {
-    std::ofstream out(path);
-    out << "arrival_us,src,dst,amount_millis,deadline_us\n";
-    out << "1,2,3\n";  // too few fields
-  }
-  EXPECT_THROW(read_trace_csv(path), std::runtime_error);
-  EXPECT_THROW(read_trace_csv("/nonexistent/path.csv"), std::runtime_error);
-}
-
-/// Writes `body` (after the canonical header) and returns the path.
-std::string write_trace_body(const std::string& name,
-                             const std::string& body, bool header = true) {
-  const std::string path = testing::TempDir() + "/" + name;
-  std::ofstream out(path);
+/// Writes `body` (after the canonical header) to a scratch file.
+ScopedTempFile write_trace_body(const std::string& name,
+                                const std::string& body, bool header = true) {
+  ScopedTempFile file(name);
+  std::ofstream out(file.path());
   if (header) out << "arrival_us,src,dst,amount_millis,deadline_us\n";
   out << body;
-  return path;
+  return file;
+}
+
+TEST(TraceIo, RejectsMalformedRows) {
+  const ScopedTempFile file = write_trace_body(
+      "spider_trace_bad.csv", "1,2,3\n");  // too few fields
+  EXPECT_THROW(read_trace_csv(file.path()), std::runtime_error);
+  EXPECT_THROW(read_trace_csv("/nonexistent/path.csv"), std::runtime_error);
 }
 
 TEST(TraceIo, HeaderlessFirstRowIsDataNotSkipped) {
   // The old reader unconditionally skipped line 1, silently dropping the
   // first payment of headerless files.
-  const std::string path = write_trace_body(
+  const ScopedTempFile file = write_trace_body(
       "spider_trace_headerless.csv", "5,0,1,250,0\n9,1,2,300,0\n",
       /*header=*/false);
-  const auto trace = read_trace_csv(path);
+  const auto trace = read_trace_csv(file.path());
   ASSERT_EQ(trace.size(), 2u);
   EXPECT_EQ(trace[0].arrival, 5);
   EXPECT_EQ(trace[0].src, 0);
@@ -230,11 +227,11 @@ TEST(TraceIo, HeaderlessFirstRowIsDataNotSkipped) {
 }
 
 TEST(TraceIo, GarbageFirstLineIsALoudError) {
-  const std::string path = write_trace_body(
+  const ScopedTempFile file = write_trace_body(
       "spider_trace_garbage_head.csv",
       "timestamp;from;to;value\n3,0,1,100,0\n", /*header=*/false);
   try {
-    (void)read_trace_csv(path);
+    (void)read_trace_csv(file.path());
     FAIL() << "expected rejection of an unrecognized first line";
   } catch (const std::runtime_error& e) {
     // The error names the expected schema instead of silently skipping.
@@ -260,27 +257,27 @@ TEST(TraceIo, StrictFieldParsing) {
   };
   int n = 0;
   for (const char* row : bad_rows) {
-    const std::string path = write_trace_body(
+    const ScopedTempFile file = write_trace_body(
         "spider_trace_strict_" + std::to_string(n++) + ".csv", row);
-    EXPECT_THROW(read_trace_csv(path), std::runtime_error) << row;
+    EXPECT_THROW(read_trace_csv(file.path()), std::runtime_error) << row;
   }
 }
 
 TEST(TraceIo, RejectsOutOfOrderArrivals) {
-  const std::string path = write_trace_body(
+  const ScopedTempFile file = write_trace_body(
       "spider_trace_unordered.csv", "9,0,1,100,0\n5,1,2,100,0\n");
-  EXPECT_THROW(read_trace_csv(path), std::runtime_error);
+  EXPECT_THROW(read_trace_csv(file.path()), std::runtime_error);
 }
 
 TEST(TraceIo, ToleratesCrlfLineEndings) {
-  const std::string path = write_trace_body("spider_trace_crlf.csv", "");
+  const ScopedTempFile file = write_trace_body("spider_trace_crlf.csv", "");
   {
-    std::ofstream out(path, std::ios::binary);
+    std::ofstream out(file.path(), std::ios::binary);
     out << "arrival_us,src,dst,amount_millis,deadline_us\r\n"
         << "1,0,1,100,0\r\n"
         << "2,1,0,200,5000000\r\n";
   }
-  const auto trace = read_trace_csv(path);
+  const auto trace = read_trace_csv(file.path());
   ASSERT_EQ(trace.size(), 2u);
   EXPECT_EQ(trace[1].amount, 200);
   EXPECT_EQ(trace[1].deadline, 5000000);
@@ -293,9 +290,9 @@ TEST(TraceIo, Full64BitAmountsSurviveRoundTrip) {
   trace[0].dst = 1;
   trace[0].amount = std::numeric_limits<Amount>::max();
   trace[0].deadline = 1;
-  const std::string path = testing::TempDir() + "/spider_trace_64bit.csv";
-  write_trace_csv(path, trace);
-  const auto loaded = read_trace_csv(path);
+  const ScopedTempFile file("spider_trace_64bit.csv");
+  write_trace_csv(file.path(), trace);
+  const auto loaded = read_trace_csv(file.path());
   ASSERT_EQ(loaded.size(), 1u);
   EXPECT_EQ(loaded[0].arrival, trace[0].arrival);
   EXPECT_EQ(loaded[0].amount, std::numeric_limits<Amount>::max());

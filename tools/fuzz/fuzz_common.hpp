@@ -29,10 +29,17 @@
 
 namespace spider_fuzz {
 
+/// The per-process scratch file dump_input() writes (empty before its
+/// first call).
+inline std::string& scratch_path() {
+  static std::string path;
+  return path;
+}
+
 /// Writes the input to a per-process scratch file and returns its path.
 inline const std::string& dump_input(const std::uint8_t* data,
                                      std::size_t size, const char* ext) {
-  static std::string path;
+  std::string& path = scratch_path();
   if (path.empty()) {
     const char* tmp = std::getenv("TMPDIR");
     path = std::string(tmp != nullptr ? tmp : "/tmp") + "/spider_fuzz_" +
@@ -87,6 +94,13 @@ int main(int argc, char** argv) {
     }
   }
   std::sort(inputs.begin(), inputs.end());
+  // The replay leaves no scratch file behind, on either exit.
+  struct RemoveScratch {
+    ~RemoveScratch() {
+      if (!spider_fuzz::scratch_path().empty())
+        std::remove(spider_fuzz::scratch_path().c_str());
+    }
+  } remove_scratch;
   for (const std::string& in : inputs) {
     std::ifstream file(in, std::ios::binary);
     if (!file) {

@@ -36,6 +36,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     const std::string rt = path + ".rt";
     spider::write_fault_csv(rt, faults);
     const std::vector<spider::FaultEvent> again = spider::read_fault_csv(rt);
+    std::remove(rt.c_str());
     if (again.size() != faults.size()) std::abort();
     for (std::size_t i = 0; i < faults.size(); ++i) {
       if (faults[i].at != again[i].at || faults[i].kind != again[i].kind ||
