@@ -118,15 +118,10 @@ class ScopedTempFile {
   ~ScopedTempFile() {
     if (!path_.empty()) std::remove(path_.c_str());
   }
+  // Movable so helpers can return the file; the moved-from holder owns
+  // nothing and removes nothing.
   ScopedTempFile(ScopedTempFile&& other) noexcept
       : path_(std::exchange(other.path_, {})) {}
-  ScopedTempFile& operator=(ScopedTempFile&& other) noexcept {
-    if (this != &other) {
-      if (!path_.empty()) std::remove(path_.c_str());
-      path_ = std::exchange(other.path_, {});
-    }
-    return *this;
-  }
   ScopedTempFile(const ScopedTempFile&) = delete;
   ScopedTempFile& operator=(const ScopedTempFile&) = delete;
 

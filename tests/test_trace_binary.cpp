@@ -31,10 +31,6 @@ void expect_same_trace(const std::vector<PaymentSpec>& a,
   }
 }
 
-std::string temp_path(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
-
 /// Reads a file whole (for corruption tests that patch bytes).
 std::vector<char> slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -55,11 +51,10 @@ TEST(TraceBinary, RoundTripsEveryRegistryScenario) {
     if (entry.name == "trace-replay") continue;
     SCOPED_TRACE(entry.name);
     const ScenarioInstance scenario = build_scenario(entry.name, params);
-    const std::string path =
-        temp_path("spider_bin_roundtrip_" + entry.name + ".sptr");
+    const ScopedTempFile file("spider_bin_roundtrip_" + entry.name + ".sptr");
+    const std::string& path = file.path();
     write_trace_binary(path, scenario.trace);
     expect_same_trace(read_trace_binary(path), scenario.trace);
-    std::remove(path.c_str());
   }
 }
 
@@ -70,21 +65,22 @@ TEST(TraceBinary, MatchesCsvReaderByteForByte) {
   ScenarioParams params;
   params.payments = 500;
   const ScenarioInstance scenario = build_scenario("isp", params);
-  const std::string csv = temp_path("spider_bin_vs_csv.csv");
-  const std::string bin = temp_path("spider_bin_vs_csv.sptr");
+  const ScopedTempFile csv_file("spider_bin_vs_csv.csv");
+  const std::string& csv = csv_file.path();
+  const ScopedTempFile bin_file("spider_bin_vs_csv.sptr");
+  const std::string& bin = bin_file.path();
   write_trace_csv(csv, scenario.trace);
   write_trace_binary(bin, scenario.trace);
   expect_same_trace(read_trace_binary(bin), read_trace_csv(csv));
   expect_same_trace(read_trace_any(bin), read_trace_any(csv));
-  std::remove(csv.c_str());
-  std::remove(bin.c_str());
 }
 
 TEST(TraceBinary, StreamingChunkSizeInvariant) {
   ScenarioParams params;
   params.payments = 1000;
   const ScenarioInstance scenario = build_scenario("isp", params);
-  const std::string path = temp_path("spider_bin_chunks.sptr");
+  const ScopedTempFile file("spider_bin_chunks.sptr");
+  const std::string& path = file.path();
   write_trace_binary(path, scenario.trace);
 
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{64},
@@ -103,7 +99,6 @@ TEST(TraceBinary, StreamingChunkSizeInvariant) {
     EXPECT_EQ(reader.payments_read(), scenario.trace.size());
     expect_same_trace(streamed, scenario.trace);
   }
-  std::remove(path.c_str());
 }
 
 TEST(TraceBinary, RejectsNonPositiveChunk) {
@@ -119,7 +114,8 @@ TEST(TraceBinary, StreamedReplayByteIdenticalForEveryScheme) {
   params.traffic_seed = 33;
   const ScenarioInstance scenario = build_scenario("isp", params);
   const SpiderNetwork net(scenario.graph, scenario.config);
-  const std::string path = temp_path("spider_bin_replay_schemes.sptr");
+  const ScopedTempFile file("spider_bin_replay_schemes.sptr");
+  const std::string& path = file.path();
   write_trace_binary(path, scenario.trace);
 
   for (const Scheme scheme : all_schemes()) {
@@ -133,7 +129,6 @@ TEST(TraceBinary, StreamedReplayByteIdenticalForEveryScheme) {
     expect_identical_metrics(batch, streamed.metrics);
     EXPECT_EQ(streamed.payments, scenario.trace.size());
   }
-  std::remove(path.c_str());
 }
 
 TEST(TraceBinary, StreamedReplayChunkSizeInvariant) {
@@ -142,7 +137,8 @@ TEST(TraceBinary, StreamedReplayChunkSizeInvariant) {
   params.traffic_seed = 33;
   const ScenarioInstance scenario = build_scenario("isp", params);
   const SpiderNetwork net(scenario.graph, scenario.config);
-  const std::string path = temp_path("spider_bin_replay_chunks.sptr");
+  const ScopedTempFile file("spider_bin_replay_chunks.sptr");
+  const std::string& path = file.path();
   write_trace_binary(path, scenario.trace);
 
   const SimMetrics batch =
@@ -157,7 +153,6 @@ TEST(TraceBinary, StreamedReplayChunkSizeInvariant) {
         net, Scheme::kSpiderWaterfilling, 7, reader, options);
     expect_identical_metrics(batch, streamed.metrics);
   }
-  std::remove(path.c_str());
 }
 
 /// One valid 3-payment .sptr to corrupt in the rejection tests below.
@@ -172,19 +167,19 @@ std::vector<char> valid_trace_bytes() {
     spec.deadline = 0;
     trace.push_back(spec);
   }
-  const std::string path = temp_path("spider_bin_corrupt_seed.sptr");
+  const ScopedTempFile file("spider_bin_corrupt_seed.sptr");
+  const std::string& path = file.path();
   write_trace_binary(path, trace);
   std::vector<char> bytes = slurp(path);
-  std::remove(path.c_str());
   return bytes;
 }
 
 void expect_rejected(const std::vector<char>& bytes,
                      const std::string& what) {
-  const std::string path = temp_path("spider_bin_reject.sptr");
+  const ScopedTempFile file("spider_bin_reject.sptr");
+  const std::string& path = file.path();
   spit(path, bytes);
   EXPECT_THROW(read_trace_binary(path), std::runtime_error) << what;
-  std::remove(path.c_str());
 }
 
 TEST(TraceBinaryRejection, BadMagic) {
@@ -262,7 +257,8 @@ TEST(TraceBinaryRejection, InvalidRecordFields) {
 TEST(TraceBinaryRejection, ErrorsNameTheRecordIndex) {
   std::vector<char> bytes = valid_trace_bytes();
   bytes[16 + 32 + 23] = char(0x80);  // record 1: negative amount
-  const std::string path = temp_path("spider_bin_named_index.sptr");
+  const ScopedTempFile file("spider_bin_named_index.sptr");
+  const std::string& path = file.path();
   spit(path, bytes);
   try {
     (void)read_trace_binary(path);
@@ -271,11 +267,11 @@ TEST(TraceBinaryRejection, ErrorsNameTheRecordIndex) {
     EXPECT_NE(std::string(e.what()).find("record 1"), std::string::npos)
         << e.what();
   }
-  std::remove(path.c_str());
 }
 
 TEST(TraceBinaryWriter, RejectsInvalidAppends) {
-  const std::string path = temp_path("spider_bin_writer_reject.sptr");
+  const ScopedTempFile file("spider_bin_writer_reject.sptr");
+  const std::string& path = file.path();
   PaymentSpec good;
   good.arrival = 1000;
   good.src = 0;
@@ -295,13 +291,14 @@ TEST(TraceBinaryWriter, RejectsInvalidAppends) {
     EXPECT_EQ(writer.written(), 1u);
   }
   expect_same_trace(read_trace_binary(path), {good});
-  std::remove(path.c_str());
 }
 
 TEST(TopologyBinary, RoundTripsAndMatchesCsv) {
   const Graph g = isp_topology(xrp(3000), 5);
-  const std::string bin = temp_path("spider_topo_roundtrip.sptp");
-  const std::string csv = temp_path("spider_topo_roundtrip.csv");
+  const ScopedTempFile bin_file("spider_topo_roundtrip.sptp");
+  const std::string& bin = bin_file.path();
+  const ScopedTempFile csv_file("spider_topo_roundtrip.csv");
+  const std::string& csv = csv_file.path();
   write_topology_binary(g, bin);
   write_topology_csv(g, csv);
   const Graph from_bin = read_topology_binary(bin);
@@ -314,13 +311,12 @@ TEST(TopologyBinary, RoundTripsAndMatchesCsv) {
     EXPECT_EQ(from_bin.edge(e).capacity, g.edge(e).capacity);
   }
   EXPECT_TRUE(from_bin.is_connected());
-  std::remove(bin.c_str());
-  std::remove(csv.c_str());
 }
 
 TEST(TopologyBinary, StrictImportErrors) {
   // Magic mismatch: a trace file is not a topology.
-  const std::string trace_path = temp_path("spider_topo_magic.sptr");
+  const ScopedTempFile trace_file("spider_topo_magic.sptr");
+  const std::string& trace_path = trace_file.path();
   std::vector<PaymentSpec> one(1);
   one[0].arrival = 0;
   one[0].src = 0;
@@ -329,7 +325,6 @@ TEST(TopologyBinary, StrictImportErrors) {
   one[0].deadline = 0;
   write_trace_binary(trace_path, one);
   EXPECT_THROW(read_topology_binary(trace_path), std::runtime_error);
-  std::remove(trace_path.c_str());
 
   // Hand-built .sptp files: header-only (no channels), self-loop, zero
   // capacity.
@@ -343,10 +338,10 @@ TEST(TopologyBinary, StrictImportErrors) {
   };
   const auto expect_topo_rejected = [&](const std::vector<char>& bytes,
                                         const std::string& what) {
-    const std::string path = temp_path("spider_topo_reject.sptp");
+    const ScopedTempFile file("spider_topo_reject.sptp");
+    const std::string& path = file.path();
     spit(path, bytes);
     EXPECT_THROW(read_topology_binary(path), std::runtime_error) << what;
-    std::remove(path.c_str());
   };
   expect_topo_rejected(topo_bytes(0, {}), "no channels");
   // Record: node_a=2, node_b=2 (self-loop), capacity=100.
@@ -372,8 +367,10 @@ TEST(TraceReplayScenario, DispatchesOnBinaryExtensions) {
   ScenarioParams gen;
   gen.payments = 200;
   const ScenarioInstance source = build_scenario("isp", gen);
-  const std::string bin_trace = temp_path("spider_dispatch_trace.sptr");
-  const std::string bin_topo = temp_path("spider_dispatch_topology.sptp");
+  const ScopedTempFile bin_trace_file("spider_dispatch_trace.sptr");
+  const std::string& bin_trace = bin_trace_file.path();
+  const ScopedTempFile bin_topo_file("spider_dispatch_topology.sptp");
+  const std::string& bin_topo = bin_topo_file.path();
   write_trace_binary(bin_trace, source.trace);
   write_topology_binary(source.graph, bin_topo);
 
@@ -386,7 +383,8 @@ TEST(TraceReplayScenario, DispatchesOnBinaryExtensions) {
   expect_same_trace(replayed.trace, source.trace);
 
   // Mixed pair: binary trace over a CSV topology.
-  const std::string csv_topo = temp_path("spider_dispatch_topology.csv");
+  const ScopedTempFile csv_topo_file("spider_dispatch_topology.csv");
+  const std::string& csv_topo = csv_topo_file.path();
   write_topology_csv(source.graph, csv_topo);
   params.topology_file = csv_topo;
   expect_same_trace(build_scenario("trace-replay", params).trace,
@@ -400,9 +398,6 @@ TEST(TraceReplayScenario, DispatchesOnBinaryExtensions) {
   EXPECT_FALSE(is_binary_trace_path(csv_topo));
   EXPECT_TRUE(is_binary_topology_path(bin_topo));
 
-  std::remove(bin_trace.c_str());
-  std::remove(bin_topo.c_str());
-  std::remove(csv_topo.c_str());
 }
 
 #ifdef __linux__
@@ -439,7 +434,8 @@ TEST(TenMillionPaymentReplay, BinaryDrainReleasesConsumedPages) {
   if (env_int("SPIDER_STRESS", 0) == 0)
     GTEST_SKIP() << "set SPIDER_STRESS=1 for the 10M-payment drain";
   constexpr std::size_t kPayments = 10'000'000;
-  const std::string path = temp_path("spider_ten_million.sptr");
+  const ScopedTempFile file("spider_ten_million.sptr");
+  const std::string& path = file.path();
   {
     // Stream the trace out in batches — the writer never holds more than
     // one batch, so producing the file is itself bounded-memory.
@@ -482,7 +478,6 @@ TEST(TenMillionPaymentReplay, BinaryDrainReleasesConsumedPages) {
   ASSERT_GE(rss, 0) << "mapping not found in /proc/self/smaps";
   EXPECT_LE(rss, 16L << 20) << "mapping stayed resident: " << rss;
 #endif
-  std::remove(path.c_str());
 }
 
 TEST(TenMillionPaymentReplay, StreamedBinaryReplayBoundedBuffer) {
@@ -495,7 +490,8 @@ TEST(TenMillionPaymentReplay, StreamedBinaryReplayBoundedBuffer) {
   params.payments = 10'000'000;
   params.tx_per_second = 4000.0;
   const ScenarioInstance scenario = build_scenario("isp", params);
-  const std::string path = temp_path("spider_ten_million_replay.sptr");
+  const ScopedTempFile file("spider_ten_million_replay.sptr");
+  const std::string& path = file.path();
   write_trace_binary(path, scenario.trace);
   const SpiderNetwork net(scenario.graph, scenario.config);
   constexpr std::size_t kChunk = 4096;
@@ -505,7 +501,6 @@ TEST(TenMillionPaymentReplay, StreamedBinaryReplayBoundedBuffer) {
   EXPECT_EQ(streamed.payments, 10'000'000u);
   EXPECT_LE(streamed.peak_buffered, 2 * kChunk);
   EXPECT_GT(streamed.metrics.completed_count, 0);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -31,10 +31,6 @@ void expect_same_trace(const std::vector<PaymentSpec>& a,
   }
 }
 
-std::string temp_path(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
-
 TEST(TraceRoundTrip, ByteIdentityAcrossAllRegistryScenarios) {
   // Every registry workload must survive write->read exactly — including
   // the piecewise flash-crowd trace and the churn scenarios' payments.
@@ -45,11 +41,9 @@ TEST(TraceRoundTrip, ByteIdentityAcrossAllRegistryScenarios) {
     if (entry.name == "trace-replay") continue;  // consumes files, below
     SCOPED_TRACE(entry.name);
     const ScenarioInstance scenario = build_scenario(entry.name, params);
-    const std::string path =
-        temp_path("spider_roundtrip_" + entry.name + ".csv");
-    write_trace_csv(path, scenario.trace);
-    expect_same_trace(read_trace_csv(path), scenario.trace);
-    std::remove(path.c_str());
+    const ScopedTempFile file("spider_roundtrip_" + entry.name + ".csv");
+    write_trace_csv(file.path(), scenario.trace);
+    expect_same_trace(read_trace_csv(file.path()), scenario.trace);
   }
 }
 
@@ -57,7 +51,8 @@ TEST(TraceReaderStreaming, ChunkSizeInvariant) {
   ScenarioParams params;
   params.payments = 1000;
   const ScenarioInstance scenario = build_scenario("isp", params);
-  const std::string path = temp_path("spider_chunk_invariance.csv");
+  const ScopedTempFile file("spider_chunk_invariance.csv");
+  const std::string& path = file.path();
   write_trace_csv(path, scenario.trace);
 
   const std::vector<PaymentSpec> load_all = read_trace_csv(path);
@@ -80,7 +75,6 @@ TEST(TraceReaderStreaming, ChunkSizeInvariant) {
     EXPECT_GE(chunks, load_all.size() / chunk);
     expect_same_trace(streamed, load_all);
   }
-  std::remove(path.c_str());
 }
 
 TEST(TraceReaderStreaming, RejectsNonPositiveChunk) {
@@ -90,7 +84,8 @@ TEST(TraceReaderStreaming, RejectsNonPositiveChunk) {
 
 TEST(TopologyCsv, RoundTripsTheIspGraph) {
   const Graph g = isp_topology(xrp(3000), 5);
-  const std::string path = temp_path("spider_topology_roundtrip.csv");
+  const ScopedTempFile file("spider_topology_roundtrip.csv");
+  const std::string& path = file.path();
   write_topology_csv(g, path);
   const Graph loaded = read_topology_csv(path);
   ASSERT_EQ(loaded.num_nodes(), g.num_nodes());
@@ -101,7 +96,6 @@ TEST(TopologyCsv, RoundTripsTheIspGraph) {
     EXPECT_EQ(loaded.edge(e).capacity, g.edge(e).capacity);
   }
   EXPECT_TRUE(loaded.is_connected());
-  std::remove(path.c_str());
 }
 
 TEST(TopologyCsv, StrictImportErrors) {
@@ -149,8 +143,10 @@ TEST(TraceReplayScenario, BuildsFromFilesAndValidates) {
   ScenarioParams gen;
   gen.payments = 200;
   const ScenarioInstance source = build_scenario("isp", gen);
-  const std::string trace_path = temp_path("spider_scenario_trace.csv");
-  const std::string topo_path = temp_path("spider_scenario_topology.csv");
+  const ScopedTempFile trace_file("spider_scenario_trace.csv");
+  const ScopedTempFile topo_file("spider_scenario_topology.csv");
+  const std::string& trace_path = trace_file.path();
+  const std::string& topo_path = topo_file.path();
   write_trace_csv(trace_path, source.trace);
   write_topology_csv(source.graph, topo_path);
 
@@ -177,18 +173,13 @@ TEST(TraceReplayScenario, BuildsFromFilesAndValidates) {
   write_trace_csv(trace_path, rogue);
   params.payments = 0;
   EXPECT_THROW(build_scenario("trace-replay", params), std::runtime_error);
-
-  std::remove(trace_path.c_str());
-  std::remove(topo_path.c_str());
 }
 
-/// Shared fixture: a small isp workload written to disk. The trace file
-/// gets a per-instance name — ctest runs these tests in parallel
-/// processes sharing one TempDir, and a fixed filename lets one test's
-/// destructor unlink the file under another mid-read.
+/// Shared fixture: a small isp workload written to a per-process scratch
+/// file (ctest runs these tests in parallel processes sharing one TempDir).
 struct ReplayFixture {
   ScenarioInstance scenario;
-  std::string trace_path;
+  ScopedTempFile trace_file{"spider_replay_fixture.csv"};
   SpiderNetwork net;
 
   explicit ReplayFixture(int payments = 600)
@@ -198,20 +189,9 @@ struct ReplayFixture {
           params.traffic_seed = 33;
           return build_scenario("isp", params);
         }()),
-        trace_path(temp_path(
-            "spider_replay_fixture_" +
-            std::string(
-                testing::UnitTest::GetInstance()->current_test_info() !=
-                        nullptr
-                    ? testing::UnitTest::GetInstance()
-                          ->current_test_info()
-                          ->name()
-                    : "detached") +
-            ".csv")),
         net(scenario.graph, scenario.config) {
-    write_trace_csv(trace_path, scenario.trace);
+    write_trace_csv(trace_file.path(), scenario.trace);
   }
-  ~ReplayFixture() { std::remove(trace_path.c_str()); }
 };
 
 TEST(StreamingReplay, ByteIdenticalToBatchForEveryScheme) {
@@ -219,7 +199,7 @@ TEST(StreamingReplay, ByteIdenticalToBatchForEveryScheme) {
   for (const Scheme scheme : all_schemes()) {
     SCOPED_TRACE(scheme_name(scheme));
     const SimMetrics batch = fx.net.run(scheme, fx.scenario.trace, 7);
-    TraceReader reader(fx.trace_path, TraceReaderOptions{97});
+    TraceReader reader(fx.trace_file.path(), TraceReaderOptions{97});
     ReplayOptions options;
     // Demand-driven schemes estimate their matrix from the hint; hand the
     // replay the same one the batch run used.
@@ -238,7 +218,7 @@ TEST(StreamingReplay, ChunkSizeDoesNotChangeMetrics) {
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{64},
                                   std::size_t{4096}}) {
     SCOPED_TRACE(chunk);
-    TraceReader reader(fx.trace_path, TraceReaderOptions{chunk});
+    TraceReader reader(fx.trace_file.path(), TraceReaderOptions{chunk});
     ReplayOptions options;
     options.demand_hint = &fx.scenario.trace;
     const ReplayResult streamed = replay_trace(
@@ -250,7 +230,7 @@ TEST(StreamingReplay, ChunkSizeDoesNotChangeMetrics) {
 TEST(StreamingReplay, ResidentBufferBoundedByChunkSize) {
   const ReplayFixture fx(3000);
   constexpr std::size_t kChunk = 64;
-  TraceReader reader(fx.trace_path, TraceReaderOptions{kChunk});
+  TraceReader reader(fx.trace_file.path(), TraceReaderOptions{kChunk});
   const ReplayResult streamed =
       replay_trace(fx.net, Scheme::kSpiderWaterfilling, 7, reader);
   // The loop keeps at most the unconsumed tail of the previous chunk plus
@@ -268,7 +248,7 @@ TEST(StreamingReplay, ComposesWithObserversAndWindows) {
       fx.net.run_streams(Scheme::kSpiderWaterfilling, fx.scenario.trace, 7,
                          {}, {}, window, /*warmup=*/seconds(1.0));
 
-  TraceReader reader(fx.trace_path, TraceReaderOptions{128});
+  TraceReader reader(fx.trace_file.path(), TraceReaderOptions{128});
   WindowedMetrics windows(/*warmup=*/seconds(1.0));
   ReplayOptions options;
   options.metrics_window = window;
@@ -304,7 +284,8 @@ TEST(StreamingReplay, TiedTimestampsStayBoundedAndIdentical) {
       run = 1;
   }
   ASSERT_GT(longest_run, 64u);  // the shape under test actually occurs
-  const std::string path = temp_path("spider_replay_quantized.csv");
+  const ScopedTempFile file("spider_replay_quantized.csv");
+  const std::string& path = file.path();
   write_trace_csv(path, quantized);
   const SimMetrics batch =
       fx.net.run(Scheme::kSpiderWaterfilling, quantized, 7);
@@ -319,14 +300,14 @@ TEST(StreamingReplay, TiedTimestampsStayBoundedAndIdentical) {
     EXPECT_LE(streamed.peak_buffered, chunk + longest_run);
     EXPECT_LT(streamed.peak_buffered, quantized.size());
   }
-  std::remove(path.c_str());
 }
 
 TEST(StreamingReplay, RejectsTraceOutsideTopologyWithAbsoluteIndex) {
   const ReplayFixture fx;
   std::vector<PaymentSpec> rogue = fx.scenario.trace;
   rogue[150].src = fx.scenario.graph.num_nodes() + 1;
-  const std::string path = temp_path("spider_replay_rogue.csv");
+  const ScopedTempFile file("spider_replay_rogue.csv");
+  const std::string& path = file.path();
   write_trace_csv(path, rogue);
   TraceReader reader(path, TraceReaderOptions{64});
   try {
@@ -338,7 +319,6 @@ TEST(StreamingReplay, RejectsTraceOutsideTopologyWithAbsoluteIndex) {
     EXPECT_NE(std::string(e.what()).find("payment 150"), std::string::npos)
         << e.what();
   }
-  std::remove(path.c_str());
 }
 
 TEST(SessionRelease, ReleasedPrefixKeepsMetricsAndHandlesReuse) {
@@ -379,7 +359,8 @@ TEST(MillionPaymentReplay, StreamsWithBoundedBuffer) {
   params.payments = 1'000'000;
   params.tx_per_second = 4000.0;
   const ScenarioInstance scenario = build_scenario("isp", params);
-  const std::string path = temp_path("spider_million.csv");
+  const ScopedTempFile file("spider_million.csv");
+  const std::string& path = file.path();
   write_trace_csv(path, scenario.trace);
   const SpiderNetwork net(scenario.graph, scenario.config);
   constexpr std::size_t kChunk = 4096;
@@ -388,7 +369,6 @@ TEST(MillionPaymentReplay, StreamsWithBoundedBuffer) {
       replay_trace(net, Scheme::kShortestPath, 7, reader);
   EXPECT_EQ(streamed.payments, 1'000'000u);
   EXPECT_LE(streamed.peak_buffered, 2 * kChunk);
-  std::remove(path.c_str());
 }
 
 }  // namespace
