@@ -1,7 +1,9 @@
 #include "fluid/payment_graph.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
+#include <tuple>
 
 namespace spider {
 
@@ -90,6 +92,21 @@ bool PaymentGraph::is_acyclic(double eps) const {
     }
   }
   return true;
+}
+
+PaymentGraph largest_demands(const PaymentGraph& demands, int max_pairs) {
+  SPIDER_ASSERT(max_pairs >= 0);
+  std::vector<DemandEdge> edges = demands.edges();
+  if (static_cast<int>(edges.size()) <= max_pairs) return demands;
+  std::sort(edges.begin(), edges.end(),
+            [](const DemandEdge& a, const DemandEdge& b) {
+              if (a.rate != b.rate) return a.rate > b.rate;
+              return std::tie(a.src, a.dst) < std::tie(b.src, b.dst);
+            });
+  edges.resize(static_cast<std::size_t>(max_pairs));
+  PaymentGraph truncated(demands.num_nodes());
+  for (const DemandEdge& e : edges) truncated.add_demand(e.src, e.dst, e.rate);
+  return truncated;
 }
 
 }  // namespace spider

@@ -52,4 +52,9 @@ class PaymentGraph {
   std::map<std::pair<NodeId, NodeId>, double> demands_;
 };
 
+/// The `max_pairs` largest demands of `demands` (ties broken by (src, dst)),
+/// or all of them when there are no more than that.
+[[nodiscard]] PaymentGraph largest_demands(const PaymentGraph& demands,
+                                           int max_pairs);
+
 }  // namespace spider

@@ -23,22 +23,9 @@ void LpRouter::init(const Network& network,
   weights_.clear();
   fluid_throughput_ = 0.0;
 
-  PaymentGraph demands = *context.demand_hint;
-  if (max_pairs_ > 0) {
-    std::vector<DemandEdge> edges = demands.edges();
-    if (static_cast<int>(edges.size()) > max_pairs_) {
-      std::sort(edges.begin(), edges.end(),
-                [](const DemandEdge& a, const DemandEdge& b) {
-                  if (a.rate != b.rate) return a.rate > b.rate;
-                  return std::tie(a.src, a.dst) < std::tie(b.src, b.dst);
-                });
-      edges.resize(static_cast<std::size_t>(max_pairs_));
-      PaymentGraph truncated(demands.num_nodes());
-      for (const DemandEdge& e : edges)
-        truncated.add_demand(e.src, e.dst, e.rate);
-      demands = std::move(truncated);
-    }
-  }
+  const PaymentGraph demands =
+      max_pairs_ > 0 ? largest_demands(*context.demand_hint, max_pairs_)
+                     : *context.demand_hint;
 
   const RoutingLp lp = RoutingLp::with_disjoint_paths(
       network.graph(), demands, context.delta_seconds, num_paths_);

@@ -9,26 +9,12 @@
 
 #include "fluid/circulation.hpp"
 #include "fluid/routing_lp.hpp"
+#include "test_support.hpp"
 #include "topology/topology.hpp"
 #include "workload/traffic.hpp"
 
 namespace spider {
 namespace {
-
-/// The reconstructed payment graph of Fig. 4a / Fig. 5a (paper node k is
-/// our node k-1). Total demand 12; max circulation 8; DAG 4.
-PaymentGraph motivating_demands() {
-  PaymentGraph pg(5);
-  pg.add_demand(0, 1, 1);  // 1->2
-  pg.add_demand(0, 4, 1);  // 1->5
-  pg.add_demand(1, 3, 2);  // 2->4
-  pg.add_demand(3, 0, 2);  // 4->1
-  pg.add_demand(4, 0, 2);  // 5->1
-  pg.add_demand(2, 1, 2);  // 3->2
-  pg.add_demand(3, 2, 1);  // 4->3
-  pg.add_demand(2, 3, 1);  // 3->4
-  return pg;
-}
 
 TEST(PaymentGraph, AccumulatesAndLists) {
   PaymentGraph pg(4);

@@ -1,5 +1,5 @@
 // Shared helpers for tests that sweep the scenario registry or assert
-// byte-identity of SimMetrics.
+// byte-identity of SimMetrics, and the paper's Fig. 4 demand matrix.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 
 #include "core/scenario.hpp"
 #include "core/spider.hpp"
+#include "fluid/payment_graph.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "topology/topology.hpp"
@@ -154,6 +155,21 @@ struct ReplayFiles {
   params.trace_file = files.trace.path();
   params.topology_file = files.topology.path();
   return files;
+}
+
+/// The reconstructed payment graph of Fig. 4a / Fig. 5a (paper node k is
+/// our node k-1). Total demand 12; max circulation 8; DAG 4.
+inline PaymentGraph motivating_demands() {
+  PaymentGraph pg(5);
+  pg.add_demand(0, 1, 1);  // 1->2
+  pg.add_demand(0, 4, 1);  // 1->5
+  pg.add_demand(1, 3, 2);  // 2->4
+  pg.add_demand(3, 0, 2);  // 4->1
+  pg.add_demand(4, 0, 2);  // 5->1
+  pg.add_demand(2, 1, 2);  // 3->2
+  pg.add_demand(3, 2, 1);  // 4->3
+  pg.add_demand(2, 3, 1);  // 3->4
+  return pg;
 }
 
 }  // namespace spider
