@@ -89,21 +89,6 @@ RoutingLp RoutingLp::with_all_paths(const Graph& graph,
   return RoutingLp(graph, std::move(pairs), delta);
 }
 
-FluidSolution RoutingLp::solve_balanced() const {
-  return solve_impl(/*with_rebalancing=*/false, /*gamma=*/0.0, /*bound=*/0.0);
-}
-
-FluidSolution RoutingLp::solve_rebalancing(double gamma) const {
-  SPIDER_ASSERT(gamma >= 0);
-  return solve_impl(/*with_rebalancing=*/true, gamma,
-                    /*bound=*/-1.0);  // -1: unbounded total
-}
-
-FluidSolution RoutingLp::solve_bounded_rebalancing(double bound) const {
-  SPIDER_ASSERT(bound >= 0);
-  return solve_impl(/*with_rebalancing=*/true, /*gamma=*/0.0, bound);
-}
-
 namespace {
 
 /// The balanced-routing variables, grouped as the solvers read them back.
@@ -189,28 +174,29 @@ BalancedVars add_balanced_structure(LpModel& model, const Graph& graph,
   return vars;
 }
 
-/// Reads the clamped x_p rates back per pair and sums them into the
-/// throughput.
-void extract_path_rates(const LpSolution& sol,
-                        const std::vector<std::vector<int>>& pair_vars,
-                        FluidSolution& out) {
-  for (const std::vector<int>& ids : pair_vars) {
-    std::vector<double> rates;
-    rates.reserve(ids.size());
-    for (int v : ids) {
-      const double x = std::max(0.0, sol.x[static_cast<std::size_t>(v)]);
-      rates.push_back(x);
-      out.throughput += x;
-    }
-    out.path_rates.push_back(std::move(rates));
-  }
-}
-
 }  // namespace
 
-FluidSolution RoutingLp::solve_max_min_balanced() const {
-  FluidSolution out;
+struct RoutingLp::Built {
+  LpModel model;
+  BalancedVars vars;
+  int t_var = -1;  // max-min only: the served fraction t
+};
 
+RoutingLp::Built RoutingLp::build(bool with_rebalancing, double gamma,
+                                  double bound) const {
+  Built built;
+  built.vars = add_balanced_structure(built.model, *graph_, pairs_, delta_,
+                                      with_rebalancing, gamma);
+  // Total rebalancing bound (16), when requested.
+  if (with_rebalancing && bound >= 0) {
+    std::vector<LpTerm> terms;
+    for (int v : built.vars.b_vars) terms.push_back({v, 1.0});
+    built.model.add_constraint(std::move(terms), RowSense::kLeq, bound);
+  }
+  return built;
+}
+
+RoutingLp::Built RoutingLp::build_max_min() const {
   // Weighted-lexicographic single solve: maximize W·t + Σx with
   // Σ_p x_p >= t·d_ij for every pair that has at least one candidate path.
   // W exceeds any achievable throughput by 100×, so the optimizer first
@@ -223,51 +209,74 @@ FluidSolution RoutingLp::solve_max_min_balanced() const {
   for (const PairPaths& pp : pairs_) total_demand += pp.demand;
   const double fairness_weight = 100.0 * std::max(1.0, total_demand);
 
-  LpModel model;
-  const BalancedVars vars = add_balanced_structure(
-      model, *graph_, pairs_, delta_, /*with_rebalancing=*/false, 0.0);
-  const int t_var = model.add_variable(fairness_weight);
-  model.add_constraint({{t_var, 1.0}}, RowSense::kLeq, 1.0);  // t <= 1
+  Built built = build(/*with_rebalancing=*/false, 0.0, 0.0);
+  built.t_var = built.model.add_variable(fairness_weight);
+  built.model.add_constraint({{built.t_var, 1.0}}, RowSense::kLeq,
+                             1.0);  // t <= 1
   for (std::size_t pi = 0; pi < pairs_.size(); ++pi) {
     if (pairs_[pi].demand <= 0 || pairs_[pi].paths.empty()) continue;
     // d_ij·t − Σ x_p <= 0.
-    std::vector<LpTerm> terms{{t_var, pairs_[pi].demand}};
-    for (int v : vars.pair_vars[pi]) terms.push_back({v, -1.0});
-    model.add_constraint(std::move(terms), RowSense::kLeq, 0.0);
+    std::vector<LpTerm> terms{{built.t_var, pairs_[pi].demand}};
+    for (int v : built.vars.pair_vars[pi]) terms.push_back({v, -1.0});
+    built.model.add_constraint(std::move(terms), RowSense::kLeq, 0.0);
   }
-
-  const LpSolution sol = solve_lp(model);
-  out.status = sol.status;
-  if (sol.status != LpStatus::kOptimal) return out;
-  out.objective = sol.objective;
-  out.min_fraction =
-      std::max(0.0, sol.x[static_cast<std::size_t>(t_var)]);
-  extract_path_rates(sol, vars.pair_vars, out);
-  return out;
+  return built;
 }
 
-FluidSolution RoutingLp::solve_impl(bool with_rebalancing, double gamma,
-                                    double bound) const {
-  LpModel model;
-  const BalancedVars vars = add_balanced_structure(
-      model, *graph_, pairs_, delta_, with_rebalancing, gamma);
-
-  // Total rebalancing bound (16), when requested.
-  if (with_rebalancing && bound >= 0) {
-    std::vector<LpTerm> terms;
-    for (int v : vars.b_vars) terms.push_back({v, 1.0});
-    model.add_constraint(std::move(terms), RowSense::kLeq, bound);
-  }
-
-  const LpSolution sol = solve_lp(model);
+FluidSolution RoutingLp::solve(const Built& built) {
+  const LpSolution sol = solve_lp(built.model);
   FluidSolution out;
   out.status = sol.status;
   if (sol.status != LpStatus::kOptimal) return out;
   out.objective = sol.objective;
-  extract_path_rates(sol, vars.pair_vars, out);
-  for (int v : vars.b_vars)
+  // The clamped x_p rates per pair, summed into the throughput.
+  for (const std::vector<int>& ids : built.vars.pair_vars) {
+    std::vector<double> rates;
+    rates.reserve(ids.size());
+    for (int v : ids) {
+      const double x = std::max(0.0, sol.x[static_cast<std::size_t>(v)]);
+      rates.push_back(x);
+      out.throughput += x;
+    }
+    out.path_rates.push_back(std::move(rates));
+  }
+  for (int v : built.vars.b_vars)
     out.rebalancing_rate += std::max(0.0, sol.x[static_cast<std::size_t>(v)]);
+  if (built.t_var >= 0)
+    out.min_fraction =
+        std::max(0.0, sol.x[static_cast<std::size_t>(built.t_var)]);
   return out;
 }
+
+FluidSolution RoutingLp::solve_balanced() const {
+  return solve(build(/*with_rebalancing=*/false, /*gamma=*/0.0,
+                     /*bound=*/0.0));
+}
+
+FluidSolution RoutingLp::solve_rebalancing(double gamma) const {
+  SPIDER_ASSERT(gamma >= 0);
+  return solve(build(/*with_rebalancing=*/true, gamma,
+                     /*bound=*/-1.0));  // -1: unbounded total
+}
+
+FluidSolution RoutingLp::solve_bounded_rebalancing(double bound) const {
+  SPIDER_ASSERT(bound >= 0);
+  return solve(build(/*with_rebalancing=*/true, /*gamma=*/0.0, bound));
+}
+
+FluidSolution RoutingLp::solve_max_min_balanced() const {
+  return solve(build_max_min());
+}
+
+LpModel RoutingLp::balanced_model() const {
+  return build(/*with_rebalancing=*/false, 0.0, 0.0).model;
+}
+
+LpModel RoutingLp::bounded_rebalancing_model(double bound) const {
+  SPIDER_ASSERT(bound >= 0);
+  return build(/*with_rebalancing=*/true, 0.0, bound).model;
+}
+
+LpModel RoutingLp::max_min_model() const { return build_max_min().model; }
 
 }  // namespace spider

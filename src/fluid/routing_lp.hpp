@@ -77,12 +77,21 @@ class RoutingLp {
   /// connected path is guaranteed a positive rate whenever t* > 0.
   [[nodiscard]] FluidSolution solve_max_min_balanced() const;
 
+  /// The models the solves above build, for checking a solver against the
+  /// formulation: solve_balanced(), solve_bounded_rebalancing(bound) and
+  /// solve_max_min_balanced() solve exactly these.
+  [[nodiscard]] LpModel balanced_model() const;
+  [[nodiscard]] LpModel bounded_rebalancing_model(double bound) const;
+  [[nodiscard]] LpModel max_min_model() const;
+
   [[nodiscard]] const std::vector<PairPaths>& pairs() const { return pairs_; }
 
  private:
   struct Built;
-  [[nodiscard]] FluidSolution solve_impl(bool with_rebalancing, double gamma,
-                                         double bound) const;
+  [[nodiscard]] Built build(bool with_rebalancing, double gamma,
+                            double bound) const;
+  [[nodiscard]] Built build_max_min() const;
+  [[nodiscard]] static FluidSolution solve(const Built& built);
 
   const Graph* graph_;
   std::vector<PairPaths> pairs_;

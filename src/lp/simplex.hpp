@@ -1,21 +1,30 @@
-// Two-phase dense tableau simplex.
+// Two-phase revised simplex over a sparse, column-wise model.
 //
 // Why hand-rolled: the reproduction must be self-contained (no external
-// solver), and the paper's LPs are small/medium dense problems. The solver
-// maximizes, treats all variables as >= 0, supports <=, >= and == rows, and
-// guards against cycling on the heavily degenerate balance constraints
-// (rows with rhs 0) by switching from Dantzig's rule to Bland's rule after a
-// fixed number of pivots.
+// solver). The solver maximizes, treats all variables as >= 0, and supports
+// <=, >= and == rows (the last two through phase-1 artificials).
 //
-// Numerical guards: pivots below `pivot_tol` are avoided whenever a sturdier
-// element is available (pivoting on a ~eps entry scales the row by ~1/eps
-// and wrecks the tableau), the reduced-cost row is recomputed from the true
-// costs every `rebuild_every` pivots to shed accumulated drift, and a phase
-// whose objective makes no progress for `stall_after` consecutive pivots
-// exits with its current basis instead of grinding to the iteration limit.
-// Phase-2 iterates are always primal feasible, so a stalled exit still
-// returns a usable (if possibly suboptimal) solution — flagged via
-// LpSolution::stalled.
+// Why revised: the routing LPs (eqs. 1–5 and their variants) are large and
+// very sparse. A path column has one demand entry plus three entries per
+// hop, so isp-lp's 528 × 916 model holds only 7.6k nonzeros. The solver
+// keeps the constraint matrix in compressed columns and the basis inverse
+// as a product-form eta file, which it rebuilds from the basis columns every
+// `refactor_every` pivots. Each iteration computes the simplex multipliers
+// by one backward solve, prices every nonbasic column against them over its
+// nonzeros, and transforms only the entering column. No dense tableau is
+// ever formed.
+//
+// Robustness:
+//   - Reduced costs come from multipliers recomputed every iteration, and
+//     basic values from the factor at every rebuild, so rounding drift does
+//     not accumulate.
+//   - Harris's two-pass ratio test pivots on the largest entry among the
+//     rows that block within a tolerance, never on one below `pivot_tol`.
+//   - The balance rows (rhs 0) make the LPs heavily degenerate. After
+//     `bland_after` degenerate pivots in a row the solver switches to
+//     Bland's rule, which cannot cycle, until the objective moves again.
+//   - Every choice breaks ties toward the lowest index, so a model always
+//     solves to the same bits.
 #pragma once
 
 #include <vector>
@@ -30,31 +39,28 @@ struct LpSolution {
   LpStatus status = LpStatus::kIterationLimit;
   double objective = 0.0;
   std::vector<double> x;  // primal values, one per model variable
+  /// Dual values, one per model row: y >= 0 on <= rows, y <= 0 on >= rows,
+  /// free on == rows, with c_j - yᵀA_j <= 0 for every variable and
+  /// bᵀy == objective at the optimum.
+  std::vector<double> duals;
   long iterations = 0;
-  /// Phase 2 exited early because the objective stopped improving (heavy
-  /// degeneracy). x is still primal feasible, but may be suboptimal.
-  bool stalled = false;
 };
 
 struct SimplexOptions {
   long max_iterations = 500'000;
-  /// Pivot/feasibility tolerance.
+  /// Primal and dual feasibility tolerance (the dual one scaled by the
+  /// largest cost).
   double eps = 1e-9;
-  /// Switch to Bland's anti-cycling rule after this many pivots (per phase).
-  long bland_after = 20'000;
-  /// Preferred minimum pivot magnitude; entries in (eps, pivot_tol] are
-  /// used only when a column offers nothing sturdier.
-  double pivot_tol = 1e-7;
-  /// Recompute the reduced-cost row from the true costs every this many
-  /// pivots (incremental updates accumulate floating-point drift).
-  long rebuild_every = 512;
-  /// Give up on a phase after this many consecutive pivots without
-  /// objective progress; phase 2 keeps its current feasible basis.
-  long stall_after = 20'000;
+  /// Smallest transformed-column entry the ratio test pivots on.
+  double pivot_tol = 1e-9;
+  /// Rebuild the basis factor after this many pivots.
+  long refactor_every = 100;
+  /// Switch to Bland's rule after this many degenerate pivots in a row.
+  long bland_after = 50;
 };
 
-/// Solves `model`. On kOptimal the returned x is feasible to within ~eps and
-/// optimal; on kUnbounded/kInfeasible x is meaningless.
+/// Solves `model`. On kOptimal, x and duals are feasible to within ~eps and
+/// optimal; on any other status both are empty.
 [[nodiscard]] LpSolution solve_lp(const LpModel& model,
                                   const SimplexOptions& options = {});
 

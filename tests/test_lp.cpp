@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "lp/simplex.hpp"
+#include "test_support.hpp"
 #include "util/random.hpp"
 
 namespace spider {
@@ -178,6 +179,50 @@ TEST_P(SimplexProperty, OptimumIsFeasibleAndDominatesGridSearch) {
           best_grid = std::max(best_grid, m.evaluate_objective(x));
       }
   EXPECT_GE(s.objective, best_grid - 1e-6);
+}
+
+/// Property: random LPs that mix <=, >= and == rows (some with negative
+/// rhs, which the solver negates) are feasible by construction, since every
+/// row holds at a random point x0, so phase 1 must find a basis; the
+/// optimum then carries a strong-duality certificate.
+TEST_P(SimplexProperty, MixedSenseRowsSolveWithDualCertificate) {
+  Rng rng(GetParam());
+  LpModel m;
+  const int nv = 6;
+  for (int v = 0; v < nv; ++v) m.add_variable(rng.uniform(-1.0, 2.0));
+  std::vector<double> x0(static_cast<std::size_t>(nv));
+  for (double& v : x0) v = rng.uniform(0.0, 2.0);
+  auto at_x0 = [&x0](const std::vector<LpTerm>& terms) {
+    double lhs = 0.0;
+    for (const LpTerm& t : terms) lhs += t.coeff * x0[static_cast<std::size_t>(t.var)];
+    return lhs;
+  };
+  auto random_terms = [&](double lo, double hi) {
+    std::vector<LpTerm> terms;
+    for (int v = 0; v < nv; ++v)
+      if (rng.uniform(0.0, 1.0) < 0.7) terms.push_back({v, rng.uniform(lo, hi)});
+    return terms;
+  };
+  // Positive <= rows over every variable keep the LP bounded.
+  for (int c = 0; c < 3; ++c) {
+    std::vector<LpTerm> terms;
+    for (int v = 0; v < nv; ++v) terms.push_back({v, rng.uniform(0.1, 1.0)});
+    const double rhs = at_x0(terms) + rng.uniform(0.0, 2.0);
+    m.add_constraint(std::move(terms), RowSense::kLeq, rhs);
+  }
+  for (int c = 0; c < 3; ++c) {
+    std::vector<LpTerm> terms = random_terms(-1.0, 1.0);
+    const double rhs = at_x0(terms) - rng.uniform(0.0, 1.0);
+    m.add_constraint(std::move(terms), RowSense::kGeq, rhs);
+  }
+  for (int c = 0; c < 2; ++c) {
+    std::vector<LpTerm> terms = random_terms(-1.0, 1.0);
+    const double rhs = at_x0(terms);
+    m.add_constraint(std::move(terms), RowSense::kEq, rhs);
+  }
+  const LpSolution s = solve_lp(m);
+  expect_strong_duality(m, s);
+  EXPECT_GE(s.objective, m.evaluate_objective(x0) - 1e-6);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimplexProperty,

@@ -122,5 +122,28 @@ TEST(LpGolden, MaxMinAndBoundedRebalancingMatchRecordedOptima) {
   expect_golden(isp_fair.min_fraction, 0.0, "isp.max_min.min_fraction");
 }
 
+TEST(LpGolden, DualsCertifyEveryPinnedOptimum) {
+  const Graph isp = isp_topology(xrp(3000), 1);
+  const RoutingLp isp_routing = isp_lp(isp);
+  const ScenarioInstance instance = griefing_instance();
+  Graph random_graph;
+  const RoutingLp random_routing = random_fluid_lp(random_graph);
+  const Graph fig4 = motivating_example_topology(xrp(1'000'000));
+  const RoutingLp fig4_routing =
+      RoutingLp::with_all_paths(fig4, motivating_demands(), 1.0, 4);
+
+  const std::vector<std::pair<const char*, LpModel>> models{
+      {"isp.balanced", isp_routing.balanced_model()},
+      {"griefing.balanced", griefing_lp(instance).balanced_model()},
+      {"random.bounded", random_routing.bounded_rebalancing_model(1.5)},
+      {"fig4.max_min", fig4_routing.max_min_model()},
+      {"isp.max_min", isp_routing.max_min_model()},
+  };
+  for (const auto& [name, model] : models) {
+    SCOPED_TRACE(name);
+    expect_strong_duality(model, solve_lp(model));
+  }
+}
+
 }  // namespace
 }  // namespace spider

@@ -1,10 +1,13 @@
 // Shared helpers for tests that sweep the scenario registry or assert
-// byte-identity of SimMetrics, and the paper's Fig. 4 demand matrix.
+// byte-identity of SimMetrics, the paper's Fig. 4 demand matrix, and the
+// LP strong-duality certificate.
 #pragma once
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -14,6 +17,7 @@
 #include "core/scenario.hpp"
 #include "core/spider.hpp"
 #include "fluid/payment_graph.hpp"
+#include "lp/simplex.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "topology/topology.hpp"
@@ -170,6 +174,49 @@ inline PaymentGraph motivating_demands() {
   pg.add_demand(3, 2, 1);  // 4->3
   pg.add_demand(2, 3, 1);  // 3->4
   return pg;
+}
+
+/// The strong-duality certificate of an optimal LpSolution: x is primal
+/// feasible, each dual has the sign its row's sense requires (>= 0 on <=
+/// rows, <= 0 on >= rows), the duals are dual feasible (c_j - yᵀA_j <= 0 for
+/// every variable), and bᵀy equals the objective. Together these prove x
+/// optimal without trusting the solver. Tolerances scale with the largest
+/// rhs and cost.
+inline void expect_strong_duality(const LpModel& model,
+                                  const LpSolution& solution) {
+  ASSERT_EQ(solution.status, LpStatus::kOptimal);
+  const auto& rows = model.rows();
+  ASSERT_EQ(solution.x.size(), static_cast<std::size_t>(model.num_variables()));
+  ASSERT_EQ(solution.duals.size(), rows.size());
+  double rhs_scale = 1.0;
+  for (const LpModel::Row& row : rows)
+    rhs_scale = std::max(rhs_scale, std::abs(row.rhs));
+  double cost_scale = 1.0;
+  for (int j = 0; j < model.num_variables(); ++j)
+    cost_scale = std::max(cost_scale, std::abs(model.objective_coeff(j)));
+  const double primal_tol = 1e-7 * rhs_scale;
+  const double dual_tol = 1e-7 * cost_scale;
+
+  EXPECT_LE(model.max_violation(solution.x), primal_tol);
+  std::vector<double> reduced(static_cast<std::size_t>(model.num_variables()));
+  for (int j = 0; j < model.num_variables(); ++j)
+    reduced[static_cast<std::size_t>(j)] = model.objective_coeff(j);
+  double dual_objective = 0.0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const double y = solution.duals[i];
+    if (rows[i].sense == RowSense::kLeq) {
+      EXPECT_GE(y, -dual_tol) << "row " << i;
+    } else if (rows[i].sense == RowSense::kGeq) {
+      EXPECT_LE(y, dual_tol) << "row " << i;
+    }
+    dual_objective += rows[i].rhs * y;
+    for (const LpTerm& t : rows[i].terms)
+      reduced[static_cast<std::size_t>(t.var)] -= y * t.coeff;
+  }
+  for (std::size_t j = 0; j < reduced.size(); ++j)
+    EXPECT_LE(reduced[j], dual_tol) << "variable " << j;
+  EXPECT_NEAR(dual_objective, solution.objective,
+              1e-6 * std::max(1.0, std::abs(solution.objective)));
 }
 
 }  // namespace spider
