@@ -11,6 +11,7 @@
 #include "fluid/routing_lp.hpp"
 #include "test_support.hpp"
 #include "topology/topology.hpp"
+#include "workload/size_dist.hpp"
 #include "workload/traffic.hpp"
 
 namespace spider {
@@ -395,6 +396,34 @@ TEST(DemandEstimation, MatchesTraceRates) {
   EXPECT_NEAR(pg.demand(0, 1), 40.0, 1e-9);  // 400 XRP over 10 s
   EXPECT_NEAR(pg.demand(2, 0), 5.0, 1e-9);
   EXPECT_NEAR(pg.demand(1, 0), 0.0, 1e-9);
+}
+
+TEST(DemandEstimation, HashedSumsMatchPerPaymentInsertsBitForBit) {
+  // The estimate sums each pair's rates in trace order, so it must give the
+  // same bits as inserting every payment into the graph one at a time.
+  TrafficConfig traffic;
+  traffic.seed = 3;
+  const std::unique_ptr<SizeDistribution> sizes = ripple_synthetic_sizes();
+  TrafficGenerator generator(40, traffic, *sizes);
+  std::vector<PaymentSpec> trace = generator.generate(20'000);
+  trace.push_back({trace.back().arrival, 5, 5, xrp(7), 0});  // self-pair
+  trace.push_back({trace.back().arrival, 6, 9, 0, 0});       // zero amount
+  const double span_seconds = to_seconds(trace.back().arrival);
+  PaymentGraph reference(40);
+  for (const PaymentSpec& spec : trace)
+    if (spec.src != spec.dst)
+      reference.add_demand(spec.src, spec.dst,
+                           to_xrp(spec.amount) / span_seconds);
+
+  const std::vector<DemandEdge> expected = reference.edges();
+  const std::vector<DemandEdge> actual =
+      estimate_demand_matrix(40, trace).edges();
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].src, expected[i].src);
+    EXPECT_EQ(actual[i].dst, expected[i].dst);
+    EXPECT_EQ(actual[i].rate, expected[i].rate) << i;
+  }
 }
 
 }  // namespace
