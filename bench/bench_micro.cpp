@@ -22,6 +22,7 @@
 #include "bench_common.hpp"
 #include "workload/trace_binary.hpp"
 #include "fluid/circulation.hpp"
+#include "fluid/routing_lp.hpp"
 #include "graph/ksp.hpp"
 #include "graph/maxflow.hpp"
 #include "lp/simplex.hpp"
@@ -30,6 +31,7 @@
 #include "routing/waterfilling_router.hpp"
 #include "sim/simulator.hpp"
 #include "transport/router_queue.hpp"
+#include "workload/traffic.hpp"
 
 namespace spider {
 namespace {
@@ -124,6 +126,36 @@ void BM_SimplexRoutingLpIsp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimplexRoutingLpIsp)->Unit(benchmark::kMillisecond);
+
+/// Times the balanced-routing solve of Spider (LP) on a registry scenario,
+/// built as LpRouter builds it: the demand estimate of the whole trace,
+/// capped at the scenario's (or the given) pair count.
+void run_scenario_lp(benchmark::State& state, const char* scenario,
+                     int payments, int max_pairs) {
+  ScenarioParams params;
+  params.payments = payments;
+  const ScenarioInstance instance = build_scenario(scenario, params);
+  const int cap = max_pairs > 0 ? max_pairs : instance.config.lp_max_pairs;
+  const PaymentGraph demands = largest_demands(
+      estimate_demand_matrix(instance.graph.num_nodes(), instance.trace), cap);
+  const RoutingLp lp = RoutingLp::with_disjoint_paths(
+      instance.graph, demands, to_seconds(instance.config.sim.delta),
+      instance.config.num_paths);
+  for (auto _ : state) benchmark::DoNotOptimize(lp.solve_balanced());
+  state.counters["pairs"] = static_cast<double>(lp.pairs().size());
+}
+
+// The perfbench isp-lp shape: 300 pairs of a 100k-payment ISP trace.
+void BM_SimplexIspLp300(benchmark::State& state) {
+  run_scenario_lp(state, "isp", 100'000, 300);
+}
+BENCHMARK(BM_SimplexIspLp300)->Unit(benchmark::kMillisecond);
+
+// The griefing row's shape: 900 pairs on the 60-node ripple-like graph.
+void BM_SimplexGriefing900(benchmark::State& state) {
+  run_scenario_lp(state, "griefing", 6000, 0);
+}
+BENCHMARK(BM_SimplexGriefing900)->Unit(benchmark::kMillisecond);
 
 void BM_MaxCirculationLp(benchmark::State& state) {
   Rng rng(5);

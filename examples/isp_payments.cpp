@@ -5,8 +5,9 @@
 //
 // scheme ∈ {waterfilling, lp, maxflow, shortest, silentwhispers,
 //           speedymurmurs, primaldual, all}; default: all.
-// Writes the trace it used to isp_payments_trace.csv so the exact run can
-// be repeated or inspected.
+// The run is fully determined by its arguments, so it writes no files;
+// `tools/spider_trace_gen --scenario isp` writes an ISP trace to disk for
+// inspection or replay.
 #include <iostream>
 #include <string>
 
@@ -49,11 +50,10 @@ int main(int argc, char** argv) {
   TrafficConfig traffic;
   traffic.tx_per_second = rate;
   const auto trace = network.synthesize_workload(txns, traffic);
-  write_trace_csv("isp_payments_trace.csv", trace);
 
   std::cout << "ISP topology: 32 nodes / 76 channels, " << capacity
             << " XRP per channel, " << txns << " payments at " << rate
-            << " tx/s (trace saved to isp_payments_trace.csv)\n\n";
+            << " tx/s\n\n";
   const auto results = run_schemes(network, trace, schemes);
   std::cout << results_table(results, network.config().num_paths).render();
   return 0;

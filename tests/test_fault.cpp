@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -449,7 +450,18 @@ TEST(FaultCsv, RejectsCorruptInput) {
     const ScopedTempFile file = write_temp(name, body);
     EXPECT_THROW((void)read_fault_csv(file.path()), std::runtime_error);
   };
-  expect_rejected("missing.csv", "");  // cannot open is also an error
+  {
+    // A path nothing writes: cannot open is also an error.
+    const ScopedTempFile missing("missing.csv");
+    std::remove(missing.path().c_str());
+    try {
+      (void)read_fault_csv(missing.path());
+      ADD_FAILURE() << "read_fault_csv opened a missing file";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("cannot open"), std::string::npos)
+          << e.what();
+    }
+  }
   expect_rejected("empty.csv", "\n");
   expect_rejected("bad_header.csv", "time,kind,node\n");
   expect_rejected("headerless.csv", "0,crash,1,-1,0,0\n");
