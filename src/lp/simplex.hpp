@@ -7,17 +7,19 @@
 // Why revised: the routing LPs (eqs. 1–5 and their variants) are large and
 // very sparse. A path column has one demand entry plus three entries per
 // hop, so isp-lp's 528 × 916 model holds only 7.6k nonzeros. The solver
-// keeps the constraint matrix in compressed columns and the basis inverse
-// as a product-form eta file, which it rebuilds from the basis columns every
-// `refactor_every` pivots. Each iteration computes the simplex multipliers
-// by one backward solve, prices every nonbasic column against them over its
-// nonzeros, and transforms only the entering column. No dense tableau is
-// ever formed.
+// keeps the constraint matrix in compressed columns (and a row-wise copy)
+// and the basis inverse as a product-form eta file, which it rebuilds from
+// the basis columns every `refactor_every` pivots. An iteration transforms
+// only the entering column and one row of the basis inverse; no dense
+// tableau is ever formed. DESIGN.md "LP solver" has the measurements.
+//
+// Pricing is Devex: the entering column maximizes d_j² / w_j over reduced
+// costs d_j, which are updated from the pivot row after every pivot.
 //
 // Robustness:
-//   - Reduced costs come from multipliers recomputed every iteration, and
-//     basic values from the factor at every rebuild, so rounding drift does
-//     not accumulate.
+//   - Reduced costs are recomputed from fresh simplex multipliers at every
+//     rebuild of the factor and before optimality is declared, and basic
+//     values at every rebuild, so rounding drift does not accumulate.
 //   - Harris's two-pass ratio test pivots on the largest entry among the
 //     rows that block within a tolerance, never on one below `pivot_tol`.
 //   - The balance rows (rhs 0) make the LPs heavily degenerate. After

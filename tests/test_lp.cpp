@@ -1,6 +1,8 @@
 // Unit tests for the two-phase simplex solver.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "lp/simplex.hpp"
 #include "test_support.hpp"
 #include "util/random.hpp"
@@ -223,6 +225,15 @@ TEST_P(SimplexProperty, MixedSenseRowsSolveWithDualCertificate) {
   const LpSolution s = solve_lp(m);
   expect_strong_duality(m, s);
   EXPECT_GE(s.objective, m.evaluate_objective(x0) - 1e-6);
+
+  // Bland's rule from the first pivot and a factor rebuilt after every
+  // pivot reach the same optimum.
+  SimplexOptions stressed;
+  stressed.bland_after = 0;
+  stressed.refactor_every = 1;
+  const LpSolution b = solve_lp(m, stressed);
+  expect_strong_duality(m, b);
+  EXPECT_NEAR(b.objective, s.objective, 1e-7 * (1.0 + std::abs(s.objective)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimplexProperty,

@@ -143,6 +143,16 @@ TEST(LpGolden, DualsCertifyEveryPinnedOptimum) {
     SCOPED_TRACE(name);
     expect_strong_duality(model, solve_lp(model));
   }
+
+  // Bland's rule from the first pivot, with the factor rebuilt after every
+  // pivot, reaches the same ISP optimum.
+  SimplexOptions stressed;
+  stressed.bland_after = 0;
+  stressed.refactor_every = 1;
+  const LpModel& isp_model = models.front().second;
+  const LpSolution s = solve_lp(isp_model, stressed);
+  expect_strong_duality(isp_model, s);
+  expect_golden(s.objective, 11533.096316601532, "isp.balanced.objective");
 }
 
 }  // namespace
