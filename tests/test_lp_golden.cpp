@@ -4,7 +4,11 @@
 // unique even when its optimal vertex is not).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "core/scenario.hpp"
 #include "fluid/routing_lp.hpp"
