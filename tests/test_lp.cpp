@@ -102,6 +102,32 @@ TEST(Simplex, DegenerateRhsZeroRowsTerminate) {
   EXPECT_NEAR(s.objective, 4.0, 1e-7);  // x = y = 2
 }
 
+TEST(Simplex, ArtificialsLeftInTheBasisStayAtZero) {
+  // The second row repeats the first, so one artificial can never leave
+  // the basis. max x - y -> x=3, y=0.
+  LpModel redundant;
+  const int x = redundant.add_variable(1.0);
+  const int y = redundant.add_variable(-1.0);
+  redundant.add_constraint({{x, 1}, {y, 1}}, RowSense::kEq, 3);
+  redundant.add_constraint({{x, 2}, {y, 2}}, RowSense::kEq, 6);
+  redundant.add_constraint({{x, 1}}, RowSense::kLeq, 5);
+  const LpSolution s = solve_lp(redundant);
+  expect_strong_duality(redundant, s);
+  EXPECT_NEAR(s.x[static_cast<std::size_t>(x)], 3.0, 1e-7);
+  EXPECT_NEAR(s.x[static_cast<std::size_t>(y)], 0.0, 1e-7);
+
+  // Phase 1 ends with the artificial of -x == 0 basic at zero (x has a
+  // negative phase-1 reduced cost), so in phase 2 that row, not x <= 5,
+  // must block x: max x -> x = 0.
+  LpModel pinned;
+  const int z = pinned.add_variable(1.0);
+  pinned.add_constraint({{z, -1}}, RowSense::kEq, 0);
+  pinned.add_constraint({{z, 1}}, RowSense::kLeq, 5);
+  const LpSolution p = solve_lp(pinned);
+  expect_strong_duality(pinned, p);
+  EXPECT_NEAR(p.x[static_cast<std::size_t>(z)], 0.0, 1e-9);
+}
+
 TEST(Simplex, ZeroObjectiveReturnsFeasiblePoint) {
   LpModel m;
   const int x = m.add_variable(0.0);
