@@ -115,8 +115,8 @@ PaymentGraph estimate_demand_matrix(NodeId num_nodes,
   std::sort(sums.begin(), sums.end(),
             [](const PairSum& a, const PairSum& b) { return a.key < b.key; });
   for (const PairSum& s : sums)
-    pg.add_demand(static_cast<NodeId>(s.key / n), static_cast<NodeId>(s.key % n),
-                  s.rate);
+    pg.add_demand(static_cast<NodeId>(s.key / n),
+                  static_cast<NodeId>(s.key % n), s.rate);
   return pg;
 }
 

@@ -222,13 +222,15 @@ TEST_P(SimplexProperty, MixedSenseRowsSolveWithDualCertificate) {
   for (double& v : x0) v = rng.uniform(0.0, 2.0);
   auto at_x0 = [&x0](const std::vector<LpTerm>& terms) {
     double lhs = 0.0;
-    for (const LpTerm& t : terms) lhs += t.coeff * x0[static_cast<std::size_t>(t.var)];
+    for (const LpTerm& t : terms)
+      lhs += t.coeff * x0[static_cast<std::size_t>(t.var)];
     return lhs;
   };
   auto random_terms = [&](double lo, double hi) {
     std::vector<LpTerm> terms;
     for (int v = 0; v < nv; ++v)
-      if (rng.uniform(0.0, 1.0) < 0.7) terms.push_back({v, rng.uniform(lo, hi)});
+      if (rng.uniform(0.0, 1.0) < 0.7)
+        terms.push_back({v, rng.uniform(lo, hi)});
     return terms;
   };
   // Positive <= rows over every variable keep the LP bounded.
