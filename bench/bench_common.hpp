@@ -19,6 +19,11 @@
 
 namespace spider::bench {
 
+/// bench_throughput's JSON schema version. Bump it with any change to a
+/// key's presence, order or meaning; a test requires the checked-in
+/// BENCH_throughput.json to carry it, so a bump forces a regeneration.
+inline constexpr int kThroughputSchemaVersion = 8;
+
 inline void banner(const std::string& experiment_id,
                    const std::string& paper_artifact,
                    const std::string& expectation) {

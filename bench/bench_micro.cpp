@@ -258,49 +258,6 @@ void BM_EventQueueBinaryHeapChurn(benchmark::State& state) {
 BENCHMARK(BM_EventQueueBinaryHeapChurn);
 
 // ---------------------------------------------------------------------------
-// Quantile guardrail: nth_element selection vs the replaced copy-and-sort
-// (stats consumers — tail-latency analysis over per-payment samples — pay
-// one O(n) selection per quantile instead of an O(n log n) sort). Both
-// sides restore random input each iteration (scratch.assign), so neither
-// benefits from the partial ordering a previous call left behind.
-// ---------------------------------------------------------------------------
-
-std::vector<double> quantile_sample(std::size_t n) {
-  Rng rng(7);
-  std::vector<double> values;
-  values.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    values.push_back(rng.uniform(0.0, 1e6));
-  return values;
-}
-
-void BM_QuantileNthElement(benchmark::State& state) {
-  const std::vector<double> values =
-      quantile_sample(static_cast<std::size_t>(state.range(0)));
-  std::vector<double> scratch;
-  for (auto _ : state) {
-    scratch.assign(values.begin(), values.end());
-    benchmark::DoNotOptimize(quantile(scratch, 0.99));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_QuantileNthElement)->Arg(1 << 14)->Arg(1 << 20);
-
-void BM_QuantileCopySort(benchmark::State& state) {
-  const std::vector<double> values =
-      quantile_sample(static_cast<std::size_t>(state.range(0)));
-  std::vector<double> scratch;
-  for (auto _ : state) {
-    // The pre-overhaul implementation: copy, full sort, interpolate.
-    scratch.assign(values.begin(), values.end());
-    std::sort(scratch.begin(), scratch.end());
-    benchmark::DoNotOptimize(quantile_sorted(scratch, 0.99));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_QuantileCopySort)->Arg(1 << 14)->Arg(1 << 20);
-
-// ---------------------------------------------------------------------------
 // Path-store guardrail: flat dense-index lookup vs the replaced std::map.
 // ---------------------------------------------------------------------------
 
@@ -725,52 +682,6 @@ void report_transport_mark_overhead() {
               << Table::num(overhead, 3) << "x the unmarked path)\n";
 }
 
-/// Quantile-selection guardrail: nth_element quantile() must not lose to
-/// the copy-and-sort implementation it replaced (budget: >= 1x at 1M
-/// samples; in practice selection wins several-fold). Both sides start
-/// from freshly restored random input per call — no credit for operating
-/// on a previously partitioned buffer.
-void report_quantile_selection() {
-  using Clock = std::chrono::steady_clock;
-  const int min_millis = env_int("SPIDER_MICRO_PLANNER_MS", 500);
-  constexpr std::size_t kSamples = 1 << 20;
-  const std::vector<double> base = quantile_sample(kSamples);
-
-  const auto rate = [&](auto&& one_quantile) {
-    std::int64_t calls = 0;
-    const auto start = Clock::now();
-    double elapsed = 0;
-    while (elapsed * 1000 < min_millis) {
-      benchmark::DoNotOptimize(one_quantile());
-      ++calls;
-      elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-    }
-    return static_cast<double>(calls) / elapsed;
-  };
-
-  std::vector<double> scratch;
-  const double selection = rate([&] {
-    scratch.assign(base.begin(), base.end());
-    return quantile(scratch, 0.99);
-  });
-  const double sorted = rate([&] {
-    scratch.assign(base.begin(), base.end());
-    std::sort(scratch.begin(), scratch.end());
-    return quantile_sorted(scratch, 0.99);
-  });
-
-  Table table({"quantile(1M doubles)", "calls_per_sec", "speedup_vs_sort"});
-  table.add_row({"nth_element (in place)", Table::num(selection, 1),
-                 Table::num(sorted > 0 ? selection / sorted : 0.0, 2)});
-  table.add_row({"copy + std::sort", Table::num(sorted, 1),
-                 Table::num(1.0, 2)});
-  std::cout << "\nQuantile selection (calls/sec, higher is better):\n"
-            << table.render();
-  maybe_write_csv("micro_quantile_selection", table);
-  if (selection < sorted)
-    std::cout << "WARNING: nth_element quantile slower than copy+sort\n";
-}
-
 /// Trace-parse guardrail for the packed binary format: streaming a .sptr
 /// through the mmap'd BinaryTraceReader must beat the CSV parser by >= 5x
 /// rows/sec. The format exists to delete parse cost from paper-scale
@@ -837,6 +748,5 @@ int main(int argc, char** argv) {
   spider::report_trace_parse_throughput();
   spider::report_generation_delta_lookup();
   spider::report_transport_mark_overhead();
-  spider::report_quantile_selection();
   return 0;
 }

@@ -31,7 +31,7 @@ int main() {
   const ScenarioInstance setup = bench::isp_setup(/*traffic_seed=*/7);
 
   Table table({"config", "success_ratio", "success_volume", "mean_latency_s",
-               "chunks_marked", "pace_rounds", "queue_delay_p99_s",
+               "chunks_marked", "pace_rounds", "served_queue_delay_p99_s",
                "queued_units"});
   const auto add_row = [&](const std::string& tag, const SimMetrics& m) {
     table.add_row({tag, Table::pct(m.success_ratio()),
@@ -39,7 +39,7 @@ int main() {
                    Table::num(m.completion_latency_s.mean(), 3),
                    std::to_string(m.chunks_marked),
                    std::to_string(m.pace_rounds),
-                   Table::num(m.queue_delay_p99_s, 4),
+                   Table::num(m.served_queue_delay_p99_s(), 4),
                    std::to_string(m.chunks_queued)});
   };
 

@@ -47,13 +47,17 @@
 // overrides) whose checked-in copy at the repo root is the baseline future
 // PRs are compared against. `cores` is the host's hardware concurrency,
 // recorded so a number can be read against the machine it came from.
-// Schema (schema_version 7 — v7 removes the "name#sK" rows and their two
-// columns, which measured a parallel single-run engine that no longer
-// exists; v6 added the parse_s / sim_s wall-time split; v5 added the
-// transport columns chunks_marked / pace_rounds / queue_delay_p99_s, zero
-// for schemes that never enable the transport layer):
+// Schema (schema_version 8, bench::kThroughputSchemaVersion — v8 makes
+// queue_delay_p99_s the p99 of SERVED queue waits (timed-out units no
+// longer count; they all waited exactly the queue timeout) and fills the
+// trace-replay rows' failure, retry and deadline columns; every row is now
+// a projection of its run's SimMetrics. v7 removed the "name#sK" rows and
+// their two columns, which measured a parallel single-run engine that no
+// longer exists; v6 added the parse_s / sim_s wall-time split; v5 added
+// the transport columns chunks_marked / pace_rounds / queue_delay_p99_s,
+// zero for schemes that never enable the transport layer):
 //
-//   { "bench": "bench_throughput", "schema_version": 7, "paths_k": K,
+//   { "bench": "bench_throughput", "schema_version": 8, "paths_k": K,
 //     "cores": C,
 //     "results": [ { "scenario", "scheme", "nodes", "edges", "payments",
 //                    "paths_k", "warm_s", "wall_s", "parse_s", "sim_s",
@@ -140,6 +144,9 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+/// One JSON row: its identity and timing columns plus the run's SimMetrics
+/// and steady state. write_json derives the rates and reads every counter
+/// from those, so no row can carry a stale or missing copy of a metric.
 struct ThroughputRow {
   std::string scenario;
   std::string scheme;
@@ -149,32 +156,25 @@ struct ThroughputRow {
   int paths_k = 0;
   double warm_s = 0.0;
   double wall_s = 0.0;
-  // Wall-time split (schema v6): replay rows attribute wall_s between a
-  // separately timed pure parse pass (parse_s) and the remainder (sim_s);
-  // non-replay rows report parse_s 0 and sim_s == wall_s.
+  // Wall-time split (schema v6): replay rows time a pure parse pass apart
+  // (parse_s) and attribute the remainder to sim_s(); the other rows
+  // report parse_s 0 and sim_s() == wall_s.
   double parse_s = 0.0;
-  double sim_s = 0.0;
-  std::uint64_t events = 0;
-  double events_per_s = 0.0;
-  double payments_per_s = 0.0;
-  double plans_per_s = 0.0;
-  double success_ratio = 0.0;
-  double steady_success_ratio = 0.0;
-  int windows = 0;
-  double sim_duration_s = 0.0;
-  // Transport-layer profile (all zero for schemes that never enable it).
-  std::int64_t chunks_marked = 0;
-  std::int64_t pace_rounds = 0;
-  double queue_delay_p99_s = 0.0;
-  // Fault-injection profile (all zero on fault-free scenarios).
-  std::int64_t faults_injected = 0;
-  std::int64_t messages_dropped = 0;
-  std::int64_t failed_timeout = 0;
-  std::int64_t failed_churn = 0;
-  std::int64_t failed_fault = 0;
-  std::int64_t failed_no_path = 0;
-  std::int64_t retries = 0;
-  std::int64_t deadline_misses = 0;
+  SimMetrics metrics;
+  WindowedMetrics::SteadyState steady;
+
+  [[nodiscard]] double sim_s() const {
+    return std::max(0.0, wall_s - parse_s);
+  }
+  [[nodiscard]] double events_per_s() const {
+    return static_cast<double>(metrics.events_processed) / wall_s;
+  }
+  [[nodiscard]] double payments_per_s() const {
+    return static_cast<double>(payments) / wall_s;
+  }
+  [[nodiscard]] double plans_per_s() const {
+    return static_cast<double>(metrics.plans_requested) / wall_s;
+  }
 };
 
 /// "name" or "name@nodes" -> (scenario name, node override). Exits with a
@@ -194,6 +194,16 @@ std::pair<std::string, NodeId> parse_spec(const std::string& spec) {
               << "' — expected \"name\" or \"name@<positive node count>\"\n";
     std::exit(2);
   }
+}
+
+/// Materializes a "name" or "name@nodes" spec with the SPIDER_* overrides
+/// and E18's traffic stream (seed 18) unless SPIDER_TRAFFIC_SEED is set.
+ScenarioInstance build_spec(const std::string& spec) {
+  const auto [name, node_override] = parse_spec(spec);
+  ScenarioParams params = ScenarioParams::from_env();
+  if (node_override > 0) params.nodes = node_override;
+  if (params.traffic_seed == 0) params.traffic_seed = 18;  // E18 stream
+  return build_scenario(name, params);
 }
 
 std::vector<std::string> split_list(const std::string& csv) {
@@ -230,12 +240,14 @@ void write_json(const std::string& path, int paths_k,
     return;
   }
   out << "{\n  \"bench\": \"bench_throughput\",\n"
-      << "  \"schema_version\": 7,\n"
+      << "  \"schema_version\": " << bench::kThroughputSchemaVersion
+      << ",\n"
       << "  \"paths_k\": " << paths_k << ",\n"
       << "  \"cores\": " << std::thread::hardware_concurrency()
       << ",\n  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ThroughputRow& r = rows[i];
+    const SimMetrics& m = r.metrics;
     out << "    {\"scenario\": \"" << json_escape(r.scenario)
         << "\", \"scheme\": \"" << json_escape(r.scheme)
         << "\", \"nodes\": " << r.nodes << ", \"edges\": " << r.edges
@@ -244,26 +256,28 @@ void write_json(const std::string& path, int paths_k,
         << ", \"warm_s\": " << json_num(r.warm_s)
         << ", \"wall_s\": " << json_num(r.wall_s)
         << ", \"parse_s\": " << json_num(r.parse_s)
-        << ", \"sim_s\": " << json_num(r.sim_s)
-        << ", \"events\": " << r.events
-        << ", \"events_per_s\": " << json_num(r.events_per_s, 0)
-        << ", \"payments_per_s\": " << json_num(r.payments_per_s, 0)
-        << ", \"plans_per_s\": " << json_num(r.plans_per_s, 0)
-        << ", \"success_ratio\": " << json_num(r.success_ratio, 4)
-        << ", \"steady_success_ratio\": " << json_num(r.steady_success_ratio, 4)
-        << ", \"windows\": " << r.windows
-        << ", \"sim_duration_s\": " << json_num(r.sim_duration_s)
-        << ", \"chunks_marked\": " << r.chunks_marked
-        << ", \"pace_rounds\": " << r.pace_rounds
-        << ", \"queue_delay_p99_s\": " << json_num(r.queue_delay_p99_s, 4)
-        << ", \"faults_injected\": " << r.faults_injected
-        << ", \"messages_dropped\": " << r.messages_dropped
-        << ", \"failed_timeout\": " << r.failed_timeout
-        << ", \"failed_churn\": " << r.failed_churn
-        << ", \"failed_fault\": " << r.failed_fault
-        << ", \"failed_no_path\": " << r.failed_no_path
-        << ", \"retries\": " << r.retries
-        << ", \"deadline_misses\": " << r.deadline_misses << "}"
+        << ", \"sim_s\": " << json_num(r.sim_s())
+        << ", \"events\": " << m.events_processed
+        << ", \"events_per_s\": " << json_num(r.events_per_s(), 0)
+        << ", \"payments_per_s\": " << json_num(r.payments_per_s(), 0)
+        << ", \"plans_per_s\": " << json_num(r.plans_per_s(), 0)
+        << ", \"success_ratio\": " << json_num(m.success_ratio(), 4)
+        << ", \"steady_success_ratio\": "
+        << json_num(r.steady.success_ratio, 4)
+        << ", \"windows\": " << r.steady.windows
+        << ", \"sim_duration_s\": " << json_num(m.sim_duration_s)
+        << ", \"chunks_marked\": " << m.chunks_marked
+        << ", \"pace_rounds\": " << m.pace_rounds
+        << ", \"queue_delay_p99_s\": "
+        << json_num(m.served_queue_delay_p99_s(), 4)
+        << ", \"faults_injected\": " << m.faults_injected
+        << ", \"messages_dropped\": " << m.messages_dropped
+        << ", \"failed_timeout\": " << m.failed_timeout
+        << ", \"failed_churn\": " << m.failed_churn
+        << ", \"failed_fault\": " << m.failed_fault
+        << ", \"failed_no_path\": " << m.failed_no_path
+        << ", \"retries\": " << m.retries
+        << ", \"deadline_misses\": " << m.deadline_misses << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -367,10 +381,10 @@ int check_floor(const std::string& floor_path,
         // Attack-resilience gate: a scheme's success ratio under the fault
         // schedule must stay above the floor. No regression grace — the
         // ratio is deterministic in (scenario, scheme, seed), not a timing.
-        if (r.success_ratio < floor) {
+        if (r.metrics.success_ratio() < floor) {
           std::cerr << "RESILIENCE REGRESSION: " << scenario << " / "
                     << r.scheme << " success ratio "
-                    << json_num(r.success_ratio, 4) << " below the "
+                    << json_num(r.metrics.success_ratio(), 4) << " below the "
                     << json_num(floor, 4) << " floor\n";
           ++violations;
         }
@@ -378,7 +392,7 @@ int check_floor(const std::string& floor_path,
       }
       const bool payments = parsed.kind == FloorLine::Kind::kPayments;
       const double minimum = floor * (1.0 - kAllowedRegression);
-      const double rate = payments ? r.payments_per_s : r.events_per_s;
+      const double rate = payments ? r.payments_per_s() : r.events_per_s();
       const char* unit = payments ? "payments/s" : "events/s";
       if (rate < minimum) {
         std::cerr << "PERF REGRESSION: " << scenario << " / " << r.scheme
@@ -559,26 +573,12 @@ std::vector<ThroughputRow> measure_replay_rows() {
     const ReplayResult replayed =
         replay_trace(net, scheme, net.config().sim.seed, *reader);
     const double wall = seconds_since(start);
-    ThroughputRow row;
-    row.scenario = binary ? "trace-replay-bin" : "trace-replay-csv";
-    row.scheme = scheme_name(scheme);
-    row.nodes = scenario.graph.num_nodes();
-    row.edges = scenario.graph.num_edges();
-    row.payments = replayed.payments;
-    row.paths_k = net.config().num_paths;
-    row.warm_s = warm_s;
-    row.wall_s = wall;
-    row.parse_s = parse_s;
-    row.sim_s = std::max(0.0, wall - parse_s);
-    row.events = replayed.metrics.events_processed;
-    row.events_per_s =
-        static_cast<double>(replayed.metrics.events_processed) / wall;
-    row.payments_per_s = static_cast<double>(replayed.payments) / wall;
-    row.plans_per_s =
-        static_cast<double>(replayed.metrics.plans_requested) / wall;
-    row.success_ratio = replayed.metrics.success_ratio();
-    row.sim_duration_s = replayed.metrics.sim_duration_s;
-    rows.push_back(row);
+    rows.push_back(ThroughputRow{
+        binary ? "trace-replay-bin" : "trace-replay-csv",
+        std::string(scheme_name(scheme)), scenario.graph.num_nodes(),
+        scenario.graph.num_edges(), replayed.payments,
+        net.config().num_paths, warm_s, wall, parse_s, replayed.metrics,
+        WindowedMetrics::SteadyState{}});
   }
   std::filesystem::remove(csv_path);
   std::filesystem::remove(bin_path);
@@ -587,7 +587,8 @@ std::vector<ThroughputRow> measure_replay_rows() {
   for (const ThroughputRow& r : rows)
     table.add_row({r.scenario, std::to_string(r.payments),
                    Table::num(r.parse_s, 3), Table::num(r.wall_s, 3),
-                   Table::num(r.sim_s, 3), Table::num(r.payments_per_s, 0),
+                   Table::num(r.sim_s(), 3),
+                   Table::num(r.payments_per_s(), 0),
                    Table::num(rows.front().parse_s /
                                   std::max(r.parse_s, 1e-9),
                               1) +
@@ -622,12 +623,11 @@ ThroughputRow measure_row(const SpiderNetwork& net,
   };
   RunResult first;
   std::vector<double> walls{timed_run(first)};
-  const SimMetrics& m = first.metrics;
   if (walls.front() < kRepeatBelowS) {
     while (walls.size() < kMaxRuns) {
       RunResult repeat;
       walls.push_back(timed_run(repeat));
-      if (!(repeat.metrics == m)) {
+      if (!(repeat.metrics == first.metrics)) {
         std::cerr << "DETERMINISM FAILURE: " << spec << " / "
                   << scheme_name(scheme) << " run " << walls.size()
                   << " diverged from the first run's metrics\n";
@@ -636,36 +636,10 @@ ThroughputRow measure_row(const SpiderNetwork& net,
     }
   }
   const double wall = quantile(std::span<double>(walls), 0.5);
-  ThroughputRow row;
-  row.scenario = spec;
-  row.scheme = scheme_name(scheme);
-  row.nodes = scenario.graph.num_nodes();
-  row.edges = scenario.graph.num_edges();
-  row.payments = scenario.trace.size();
-  row.paths_k = net.config().num_paths;
-  row.warm_s = warm_s;
-  row.wall_s = wall;
-  row.sim_s = wall;  // no parse phase: the whole wall is simulation
-  row.events = m.events_processed;
-  row.events_per_s = static_cast<double>(m.events_processed) / wall;
-  row.payments_per_s = static_cast<double>(row.payments) / wall;
-  row.plans_per_s = static_cast<double>(m.plans_requested) / wall;
-  row.success_ratio = m.success_ratio();
-  row.steady_success_ratio = first.steady.success_ratio;
-  row.windows = first.steady.windows;
-  row.sim_duration_s = m.sim_duration_s;
-  row.chunks_marked = m.chunks_marked;
-  row.pace_rounds = m.pace_rounds;
-  row.queue_delay_p99_s = m.queue_delay_p99_s;
-  row.faults_injected = m.faults_injected;
-  row.messages_dropped = m.messages_dropped;
-  row.failed_timeout = m.failed_timeout;
-  row.failed_churn = m.failed_churn;
-  row.failed_fault = m.failed_fault;
-  row.failed_no_path = m.failed_no_path;
-  row.retries = m.retries;
-  row.deadline_misses = m.deadline_misses;
-  return row;
+  return ThroughputRow{spec, std::string(scheme_name(scheme)),
+                       scenario.graph.num_nodes(), scenario.graph.num_edges(),
+                       scenario.trace.size(), net.config().num_paths, warm_s,
+                       wall, /*parse_s=*/0.0, first.metrics, first.steady};
 }
 
 int run() {
@@ -688,11 +662,7 @@ int run() {
   std::vector<ThroughputRow> rows;
   int paths_k = 4;
   for (const std::string& spec : split_list(scenario_list)) {
-    const auto [name, node_override] = parse_spec(spec);
-    ScenarioParams params = ScenarioParams::from_env();
-    if (node_override > 0) params.nodes = node_override;
-    if (params.traffic_seed == 0) params.traffic_seed = 18;  // E18 stream
-    const ScenarioInstance scenario = build_scenario(name, params);
+    const ScenarioInstance scenario = build_spec(spec);
     const SpiderNetwork net(scenario.graph, scenario.config);
     paths_k = net.config().num_paths;
 
@@ -721,10 +691,10 @@ int run() {
   for (const ThroughputRow& r : rows)
     table.add_row({r.scenario, r.scheme, std::to_string(r.payments),
                    Table::num(r.warm_s, 3), Table::num(r.wall_s, 3),
-                   Table::num(r.events_per_s, 0),
-                   Table::num(r.payments_per_s, 0),
-                   Table::num(r.plans_per_s, 0),
-                   Table::pct(r.success_ratio)});
+                   Table::num(r.events_per_s(), 0),
+                   Table::num(r.payments_per_s(), 0),
+                   Table::num(r.plans_per_s(), 0),
+                   Table::pct(r.metrics.success_ratio())});
   std::cout << "\n" << table.render();
   maybe_write_csv("throughput", table);
 
@@ -738,11 +708,7 @@ int run() {
                  "injection):\n";
     std::vector<ThroughputRow> attack_rows;
     for (const std::string& spec : split_list(attack_list)) {
-      const auto [name, node_override] = parse_spec(spec);
-      ScenarioParams params = ScenarioParams::from_env();
-      if (node_override > 0) params.nodes = node_override;
-      if (params.traffic_seed == 0) params.traffic_seed = 18;  // E18 stream
-      const ScenarioInstance scenario = build_scenario(name, params);
+      const ScenarioInstance scenario = build_spec(spec);
       const SpiderNetwork net(scenario.graph, scenario.config);
       net.warm_paths(scenario.trace);
       std::cout << "  " << spec << ": " << scenario.faults.size()
@@ -754,15 +720,18 @@ int run() {
     Table attack_table({"scenario", "scheme", "success_ratio", "steady_sr",
                         "failed_timeout", "failed_churn", "failed_fault",
                         "failed_no_path", "retries", "deadline_misses"});
-    for (const ThroughputRow& r : attack_rows)
-      attack_table.add_row({r.scenario, r.scheme, Table::pct(r.success_ratio),
-                            Table::pct(r.steady_success_ratio),
-                            std::to_string(r.failed_timeout),
-                            std::to_string(r.failed_churn),
-                            std::to_string(r.failed_fault),
-                            std::to_string(r.failed_no_path),
-                            std::to_string(r.retries),
-                            std::to_string(r.deadline_misses)});
+    for (const ThroughputRow& r : attack_rows) {
+      const SimMetrics& m = r.metrics;
+      attack_table.add_row({r.scenario, r.scheme,
+                            Table::pct(m.success_ratio()),
+                            Table::pct(r.steady.success_ratio),
+                            std::to_string(m.failed_timeout),
+                            std::to_string(m.failed_churn),
+                            std::to_string(m.failed_fault),
+                            std::to_string(m.failed_no_path),
+                            std::to_string(m.retries),
+                            std::to_string(m.deadline_misses)});
+    }
     std::cout << "\n" << attack_table.render();
     maybe_write_csv("throughput_attacks", attack_table);
     rows.insert(rows.end(), attack_rows.begin(), attack_rows.end());
@@ -779,11 +748,7 @@ int run() {
                  "initial window):\n";
     std::vector<ThroughputRow> sweep_rows;
     for (const std::string& spec : split_list(transport_list)) {
-      const auto [name, node_override] = parse_spec(spec);
-      ScenarioParams params = ScenarioParams::from_env();
-      if (node_override > 0) params.nodes = node_override;
-      if (params.traffic_seed == 0) params.traffic_seed = 18;  // E18 stream
-      const ScenarioInstance scenario = build_scenario(name, params);
+      const ScenarioInstance scenario = build_spec(spec);
       for (const bench::TransportSweepPoint& point :
            bench::transport_sweep_grid()) {
         const SpiderNetwork net(scenario.graph,
@@ -798,13 +763,15 @@ int run() {
     Table sweep_table({"scenario", "success_ratio", "steady_sr",
                        "chunks_marked", "pace_rounds", "queue_delay_p99_s",
                        "retries"});
-    for (const ThroughputRow& r : sweep_rows)
-      sweep_table.add_row({r.scenario, Table::pct(r.success_ratio),
-                           Table::pct(r.steady_success_ratio),
-                           std::to_string(r.chunks_marked),
-                           std::to_string(r.pace_rounds),
-                           Table::num(r.queue_delay_p99_s, 4),
-                           std::to_string(r.retries)});
+    for (const ThroughputRow& r : sweep_rows) {
+      const SimMetrics& m = r.metrics;
+      sweep_table.add_row({r.scenario, Table::pct(m.success_ratio()),
+                           Table::pct(r.steady.success_ratio),
+                           std::to_string(m.chunks_marked),
+                           std::to_string(m.pace_rounds),
+                           Table::num(m.served_queue_delay_p99_s(), 4),
+                           std::to_string(m.retries)});
+    }
     std::cout << "\n" << sweep_table.render();
     maybe_write_csv("throughput_transport", sweep_table);
     rows.insert(rows.end(), sweep_rows.begin(), sweep_rows.end());

@@ -113,8 +113,9 @@ int main() {
             << " windows";
   if (transport != nullptr)
     std::cout << " | " << final_metrics.chunks_marked << " chunks marked, p99 "
-              << "queue delay "
-              << Table::num(final_metrics.queue_delay_p99_s, 3) << " s";
+              << "served queue delay "
+              << Table::num(final_metrics.served_queue_delay_p99_s(), 3)
+              << " s";
   std::cout << "\n";
   return 0;
 }

@@ -50,7 +50,8 @@ int main() {
   const SimMetrics transport = rnet.run(Scheme::kSpiderDctcp, ripple.trace);
   std::cout << "spider-dctcp on ripple-like: "
             << Table::pct(transport.success_ratio()) << " of payments, "
-            << transport.chunks_marked << " chunks marked, p99 queue delay "
-            << Table::num(transport.queue_delay_p99_s, 3) << " s\n";
+            << transport.chunks_marked
+            << " chunks marked, p99 served queue delay "
+            << Table::num(transport.served_queue_delay_p99_s(), 3) << " s\n";
   return 0;
 }

@@ -34,12 +34,10 @@ struct SimMetrics {
   // Router-queue mode (§4.2): in-network queueing behaviour.
   std::int64_t chunks_queued = 0;    // units that waited inside a channel
   std::int64_t queue_timeouts = 0;   // units rolled back after waiting
-  RunningStats queue_wait_s;         // time spent in channel queues
-  // p99 of channel-queue waits, seconds (0 when nothing ever queued).
-  // Derived in Simulator::metrics() from the full wait log, like
-  // sim_duration_s — deterministic in event order, so it participates in
-  // the byte-identity gates below.
-  double queue_delay_p99_s = 0.0;
+  // Waits, in µs, of units served out of a channel queue. A timed-out
+  // unit waited exactly queue_timeout and is counted by queue_timeouts;
+  // units failed while queued are counted by chunks_churned/chunks_faulted.
+  LogHistogram served_queue_wait_us;
 
   // Transport layer (src/transport/): units whose ack carried the one-bit
   // delay mark (dequeued past the marking threshold), and pace-tick rounds
@@ -121,6 +119,11 @@ struct SimMetrics {
     return admitted <= 0 ? 0.0
                          : static_cast<double>(completed_count) /
                                static_cast<double>(admitted);
+  }
+  /// p99 of the served channel-queue waits, seconds (0 when no unit was
+  /// served from a queue).
+  [[nodiscard]] double served_queue_delay_p99_s() const {
+    return served_queue_wait_us.quantile(0.99) / 1e6;
   }
   /// Delivered value per second of simulated time (XRP/s).
   [[nodiscard]] double throughput_xrp_per_s() const {

@@ -15,6 +15,11 @@ void WindowedMetrics::on_payment_arrival(const Payment& payment, TimePoint) {
 void WindowedMetrics::on_payment_complete(const Payment& payment, TimePoint) {
   current_.completed += 1;
   current_.completed_volume += payment.total;
+  const auto arrived_in =
+      static_cast<std::size_t>(length_ > 0 ? payment.arrival / length_ : 0);
+  if (arrived_in >= completed_by_arrival_.size())
+    completed_by_arrival_.resize(arrived_in + 1, 0);
+  completed_by_arrival_[arrived_in] += 1;
 }
 
 void WindowedMetrics::on_payment_failed(const Payment&, TimePoint) {
@@ -45,6 +50,7 @@ void WindowedMetrics::on_window_roll(const WindowInfo& window,
     has_tail_ = true;
     return;
   }
+  if (window.index == 0) length_ = window.end - window.start;
   windows_.push_back(stats);
   current_ = WindowStats{};
   has_tail_ = false;
@@ -56,7 +62,8 @@ WindowedMetrics::SteadyState WindowedMetrics::steady_state() const {
     if (seconds(w.start_s) < warmup_) continue;
     steady.windows += 1;
     steady.attempted += w.attempted;
-    steady.completed += w.completed;
+    if (w.index < completed_by_arrival_.size())
+      steady.completed += completed_by_arrival_[w.index];
     steady.attempted_volume += w.attempted_volume;
     steady.delivered_volume += w.delivered_volume;
     if (w.attempted > 0)

@@ -78,7 +78,10 @@ class WindowedMetrics final : public SimObserver {
 
   struct SteadyState {
     int windows = 0;  // complete windows past warmup
-    std::int64_t attempted = 0;
+    std::int64_t attempted = 0;  // payments that arrived in those windows
+    /// Of those payments, the ones completed so far, whenever they
+    /// completed. A payment that arrived during warmup never counts, so
+    /// the aggregate success_ratio lies in [0, 1].
     std::int64_t completed = 0;
     Amount attempted_volume = 0;
     Amount delivered_volume = 0;
@@ -88,8 +91,9 @@ class WindowedMetrics final : public SimObserver {
     /// Dispersion of per-window success ratios (windows with arrivals).
     RunningStats per_window_success_ratio;
   };
-  /// Aggregates the complete windows with start_s * 1e6 >= warmup. The
-  /// partial tail is never included (its span is shorter).
+  /// Aggregates the complete windows with start_s * 1e6 >= warmup (the
+  /// steady span). The partial tail is never included (its span is
+  /// shorter).
   [[nodiscard]] SteadyState steady_state() const;
 
   void on_payment_arrival(const Payment& payment, TimePoint now) override;
@@ -104,6 +108,11 @@ class WindowedMetrics final : public SimObserver {
 
  private:
   Duration warmup_;
+  Duration length_ = 0;  // window length, known from the first complete roll
+  // Completions indexed by the window their payment ARRIVED in (before the
+  // first complete roll, every payment arrived in window 0): the steady
+  // aggregate's numerator.
+  std::vector<std::int64_t> completed_by_arrival_;
   WindowStats current_;  // open-window accumulator (boundaries unset)
   WindowStats tail_;
   bool has_tail_ = false;

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <span>
-
-#include "util/stats.hpp"
 
 namespace spider {
 
@@ -101,7 +98,6 @@ void Simulator::begin(const std::vector<PaymentSpec>& trace) {
   poll_scheduled_ = false;
   rebalance_scheduled_ = false;
   pace_scheduled_ = false;
-  queue_wait_samples_.clear();
   next_stamp_ = 1;
   advanced_horizon_ = 0;
   window_start_ = 0;
@@ -213,12 +209,6 @@ SimMetrics Simulator::metrics() const {
   m.events_processed = events_.processed();
   m.sim_duration_s = to_seconds(now());
   m.final_mean_imbalance_xrp = network_->mean_imbalance_xrp();
-  if (!queue_wait_samples_.empty()) {
-    // quantile() partially reorders its input, so it works on a copy; the
-    // sample log itself keeps accumulating across snapshots.
-    std::vector<double> waits = queue_wait_samples_;
-    m.queue_delay_p99_s = quantile(std::span<double>(waits), 0.99);
-  }
   return m;
 }
 
@@ -751,11 +741,8 @@ bool Simulator::leave_queue(std::size_t chunk_index) {
       network_->channel(edge).side_of(chunk.path.nodes[chunk.hops_locked]);
   queue_remove(edge, side, chunk_index);  // O(1) via the intrusive links
   chunk.queued = false;
-  const Duration wait = now() - chunk.queued_at;
-  metrics_.queue_wait_s.add(to_seconds(wait));
-  queue_wait_samples_.push_back(to_seconds(wait));
   return transport_queues_.on_dequeue(static_cast<std::size_t>(edge), side,
-                                      chunk.amount, wait);
+                                      chunk.amount, now() - chunk.queued_at);
 }
 
 void Simulator::handle_queue_timeout(std::size_t chunk_index,
@@ -779,6 +766,7 @@ void Simulator::serve_channel_queue(EdgeId edge, int side) {
     InflightChunk& chunk = inflight_[ci];
     if (!network_->channel(edge).can_lock(side, chunk.amount))
       break;  // head-of-line blocking
+    metrics_.served_queue_wait_us.add(now() - chunk.queued_at);
     const bool over_threshold = leave_queue(ci);
     if (transport_on() && over_threshold && !chunk.marked) {
       chunk.marked = true;  // one bit: further marks on the unit are no-ops

@@ -401,9 +401,10 @@ class Simulator {
   /// the remainder sendable again (expiring a payment past its deadline).
   void abort_chunk(std::size_t chunk_index, EdgeId closing,
                    AbortCause cause);
-  /// The one dequeue path: unlinks a queued chunk, records its wait, and
-  /// returns the bank's verdict on whether the wait crossed the marking
-  /// threshold (the caller decides whether that marks the unit).
+  /// The one dequeue path: unlinks a queued chunk and returns the bank's
+  /// verdict on whether its wait crossed the marking threshold (the caller
+  /// decides whether that marks the unit). serve_channel_queue, the one
+  /// served-dequeue site, records the wait in served_queue_wait_us.
   [[nodiscard]] bool leave_queue(std::size_t chunk_index);
   /// Funds appeared on (edge, side): admit queued chunks in FIFO order.
   void serve_channel_queue(EdgeId edge, int side);
@@ -450,11 +451,9 @@ class Simulator {
   // linked through the chunk table itself.
   std::vector<std::array<ChannelQueue, 2>> channel_queues_;
   // Transport layer: per-channel queue accounting + marking rule (active in
-  // any router-queue run), the pace-tick chain flag, and every queue wait
-  // observed (for the p99 in metrics()).
+  // any router-queue run) and the pace-tick chain flag.
   RouterQueueBank transport_queues_;
   bool pace_scheduled_ = false;
-  std::vector<double> queue_wait_samples_;
   // On-chain rebalancing: the initial per-side share each deposit tops
   // back up toward, and whether a rebalance tick is scheduled.
   std::vector<std::array<Amount, 2>> initial_side_funds_;

@@ -1,6 +1,7 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/assert.hpp"
@@ -44,42 +45,53 @@ double quantile(std::span<double> values, double q) {
   return lo_value * (1.0 - frac) + hi_value * frac;
 }
 
-double quantile_sorted(std::span<const double> values, double q) {
-  if (values.empty()) return 0.0;
+void LogHistogram::add(std::int64_t value) {
+  SPIDER_ASSERT(value >= 0);
+  ++counts_[bucket_of(value)];
+  ++count_;
+  sum_ += value;
+  max_ = std::max(max_, value);
+}
+
+std::size_t LogHistogram::bucket_of(std::int64_t value) {
+  const auto v = static_cast<std::uint64_t>(value);
+  if (v < kExact) return static_cast<std::size_t>(v);
+  // v >> shift lands in [kHalf, kExact): the octave's sub-bucket.
+  const int shift = static_cast<int>(std::bit_width(v)) - kSubBits;
+  const std::size_t b = kExact +
+                        static_cast<std::size_t>(shift - 1) * kHalf +
+                        static_cast<std::size_t>(v >> shift) - kHalf;
+  return std::min(b, kBuckets - 1);
+}
+
+double LogHistogram::bucket_mid(std::size_t b) {
+  if (b < kExact) return static_cast<double>(b);
+  const std::size_t shift = (b - kExact) / kHalf + 1;
+  const std::uint64_t low = (kHalf + (b - kExact) % kHalf) << shift;
+  const std::uint64_t width = std::uint64_t{1} << shift;
+  return static_cast<double>(low) + static_cast<double>(width - 1) / 2.0;
+}
+
+double LogHistogram::value_at(std::int64_t rank) const {
+  if (rank >= count_ - 1) return static_cast<double>(max_);
+  std::int64_t seen = 0;
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    seen += counts_[b];
+    if (seen > rank)
+      return std::min(bucket_mid(b), static_cast<double>(max_));
+  }
+  return static_cast<double>(max_);
+}
+
+double LogHistogram::quantile(double q) const {
+  if (count_ == 0) return 0.0;
   SPIDER_ASSERT(q >= 0.0 && q <= 1.0);
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, values.size() - 1);
+  const double pos = q * static_cast<double>(count_ - 1);
+  const auto lo = static_cast<std::int64_t>(pos);
   const double frac = pos - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
-double mean_of(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double total = 0;
-  for (double v : values) total += v;
-  return total / static_cast<double>(values.size());
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  SPIDER_ASSERT(hi > lo);
-  SPIDER_ASSERT(buckets > 0);
-}
-
-void Histogram::add(double x) {
-  const double span = hi_ - lo_;
-  auto idx = static_cast<std::int64_t>((x - lo_) / span *
-                                       static_cast<double>(counts_.size()));
-  idx = std::clamp<std::int64_t>(idx, 0,
-                                 static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
+  const double lo_value = value_at(lo);
+  if (frac <= 0.0) return lo_value;
+  return lo_value * (1.0 - frac) + value_at(lo + 1) * frac;
 }
 
 }  // namespace spider

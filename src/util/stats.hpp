@@ -1,11 +1,11 @@
 // Small statistics helpers used by metrics collection and benchmarks.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <vector>
 
 namespace spider {
 
@@ -43,31 +43,49 @@ class RunningStats {
 /// fine). Returns 0 for empty.
 [[nodiscard]] double quantile(std::span<double> values, double q);
 
-/// quantile() over values already sorted ascending: pure O(1) indexing, no
-/// reordering. Callers that need many quantiles of one sample sort once and
-/// read through this.
-[[nodiscard]] double quantile_sorted(std::span<const double> values,
-                                     double q);
-
-[[nodiscard]] double mean_of(const std::vector<double>& values);
-
-/// Fixed-width histogram over [lo, hi); values outside are clamped into the
-/// first/last bucket. Used for reporting size/latency distributions.
-class Histogram {
+/// Fixed-size log-linear histogram of non-negative integer samples (the
+/// simulator feeds it microsecond waits), HdrHistogram-style: values below
+/// 2^kSubBits get one bucket each, and every octave [2^m, 2^(m+1)) above
+/// splits into 2^(kSubBits-1) equal buckets, up to 2^kTopBits (~19 h in
+/// µs); larger values share the top bucket. Count, sum and max are exact,
+/// and the storage is one fixed array, so its size does not depend on how
+/// many samples were added.
+class LogHistogram {
  public:
-  Histogram(double lo, double hi, std::size_t buckets);
+  static constexpr int kSubBits = 7;
+  static constexpr int kTopBits = 36;
+  /// Bound on |quantile(q) - exact| / exact for samples below 2^kTopBits,
+  /// where exact is quantile() over the same samples.
+  static constexpr double kRelativeError = 1.0 / 128;
 
-  void add(double x);
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-  [[nodiscard]] std::int64_t bucket(std::size_t i) const { return counts_[i]; }
-  [[nodiscard]] double bucket_lo(std::size_t i) const;
-  [[nodiscard]] std::int64_t total() const { return total_; }
+  void add(std::int64_t value);
+
+  [[nodiscard]] std::int64_t count() const { return count_; }
+  [[nodiscard]] std::int64_t sum() const { return sum_; }
+  [[nodiscard]] std::int64_t max() const { return max_; }
+  /// q-quantile (q in [0,1]) with quantile()'s interpolation between order
+  /// statistics, each read as its bucket's midpoint (the exact max for the
+  /// largest). 0 when empty.
+  [[nodiscard]] double quantile(double q) const;
+
+  [[nodiscard]] bool operator==(const LogHistogram&) const = default;
 
  private:
-  double lo_;
-  double hi_;
-  std::vector<std::int64_t> counts_;
-  std::int64_t total_ = 0;
+  static constexpr std::size_t kExact = std::size_t{1} << kSubBits;
+  static constexpr std::size_t kHalf = kExact / 2;
+  static constexpr std::size_t kBuckets =
+      kExact + static_cast<std::size_t>(kTopBits - kSubBits) * kHalf;
+
+  static std::size_t bucket_of(std::int64_t value);
+  /// Midpoint of the integers bucket `b` holds.
+  static double bucket_mid(std::size_t b);
+  /// Estimate of the 0-based `rank`-th smallest sample.
+  [[nodiscard]] double value_at(std::int64_t rank) const;
+
+  std::array<std::int64_t, kBuckets> counts_{};
+  std::int64_t count_ = 0;
+  std::int64_t sum_ = 0;
+  std::int64_t max_ = 0;
 };
 
 }  // namespace spider

@@ -164,7 +164,8 @@ TEST(RouterQueue, UnitWaitsInChannelQueueAndIsServed) {
   EXPECT_EQ(m.completed_count, 3);  // Pa eventually served from the queue
   EXPECT_EQ(m.chunks_queued, 1);
   EXPECT_EQ(m.queue_timeouts, 0);
-  EXPECT_GT(m.queue_wait_s.mean(), 0.0);
+  EXPECT_EQ(m.served_queue_wait_us.count(), 1);
+  EXPECT_GT(m.served_queue_wait_us.sum(), 0);
   net.check_invariants();
   for (const Payment& p : sim.payments()) EXPECT_EQ(p.inflight, 0);
 }

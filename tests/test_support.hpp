@@ -67,9 +67,11 @@ inline void expect_identical_metrics(const SimMetrics& a,
                    b.completion_latency_s.sum());
   EXPECT_EQ(a.chunk_hops.count(), b.chunk_hops.count());
   EXPECT_DOUBLE_EQ(a.chunk_hops.mean(), b.chunk_hops.mean());
-  EXPECT_EQ(a.queue_wait_s.count(), b.queue_wait_s.count());
-  EXPECT_DOUBLE_EQ(a.queue_wait_s.mean(), b.queue_wait_s.mean());
-  EXPECT_DOUBLE_EQ(a.queue_delay_p99_s, b.queue_delay_p99_s);
+  EXPECT_TRUE(a.served_queue_wait_us == b.served_queue_wait_us)
+      << "served waits " << a.served_queue_wait_us.count() << "/"
+      << a.served_queue_wait_us.sum() << " us vs "
+      << b.served_queue_wait_us.count() << "/"
+      << b.served_queue_wait_us.sum() << " us";
   EXPECT_EQ(a.chunks_marked, b.chunks_marked);
   EXPECT_EQ(a.pace_rounds, b.pace_rounds);
   EXPECT_DOUBLE_EQ(a.final_mean_imbalance_xrp, b.final_mean_imbalance_xrp);

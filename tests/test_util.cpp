@@ -1,8 +1,12 @@
 // Unit tests for src/util: RNG, statistics, CSV, tables, money and time.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
+#include <type_traits>
+#include <vector>
 
 #include "test_support.hpp"
 #include "util/amount.hpp"
@@ -176,6 +180,16 @@ TEST(RunningStats, EmptyIsZero) {
   EXPECT_EQ(s.max(), 0.0);
 }
 
+/// Reference for quantile(): the same interpolation read off a sorted copy.
+double quantile_sorted(std::span<const double> values, double q) {
+  if (values.empty()) return 0.0;
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const auto hi = std::min(lo + 1, values.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return values[lo] * (1.0 - frac) + values[hi] * frac;
+}
+
 TEST(Quantile, InterpolatesBetweenOrderStatistics) {
   std::vector<double> v{1, 2, 3, 4};
   EXPECT_DOUBLE_EQ(quantile(v, 0.0), 1.0);
@@ -185,7 +199,6 @@ TEST(Quantile, InterpolatesBetweenOrderStatistics) {
   EXPECT_DOUBLE_EQ(quantile(unsorted, 0.5), 2.5);
   std::vector<double> empty;
   EXPECT_DOUBLE_EQ(quantile(empty, 0.5), 0.0);
-  EXPECT_DOUBLE_EQ(quantile_sorted(empty, 0.5), 0.0);
 }
 
 TEST(Quantile, SelectionMatchesSortedOnEveryQ) {
@@ -206,21 +219,78 @@ TEST(Quantile, SelectionMatchesSortedOnEveryQ) {
   }
 }
 
-TEST(MeanOf, HandlesEmptyAndNonEmpty) {
-  EXPECT_DOUBLE_EQ(mean_of({}), 0.0);
-  EXPECT_DOUBLE_EQ(mean_of({1.0, 2.0, 6.0}), 3.0);
+TEST(LogHistogram, CountSumAndMaxAreExact) {
+  LogHistogram h;
+  EXPECT_EQ(h.count(), 0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.99), 0.0);
+  std::int64_t sum = 0;
+  for (const std::int64_t v :
+       {std::int64_t{0}, std::int64_t{1}, std::int64_t{127},
+        std::int64_t{128}, std::int64_t{999'999}, std::int64_t{1} << 40}) {
+    h.add(v);
+    sum += v;
+  }
+  EXPECT_EQ(h.count(), 6);
+  EXPECT_EQ(h.sum(), sum);
+  EXPECT_EQ(h.max(), std::int64_t{1} << 40);
+  // Values below 2^kSubBits have a bucket each: their quantiles are exact.
+  LogHistogram small;
+  for (int v = 0; v < 100; ++v) small.add(v);
+  EXPECT_DOUBLE_EQ(small.quantile(0.0), 0.0);
+  EXPECT_DOUBLE_EQ(small.quantile(0.5), 49.5);
+  EXPECT_DOUBLE_EQ(small.quantile(1.0), 99.0);
+  EXPECT_THROW(small.add(-1), AssertionError);
 }
 
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);    // bucket 0
-  h.add(9.9);    // bucket 4
-  h.add(-3.0);   // clamped to 0
-  h.add(100.0);  // clamped to 4
-  EXPECT_EQ(h.bucket(0), 2);
-  EXPECT_EQ(h.bucket(4), 2);
-  EXPECT_EQ(h.total(), 4);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(1), 2.0);
+TEST(LogHistogram, QuantilesWithinStatedErrorOfExact) {
+  Rng rng(91);
+  for (const double top : {200.0, 5e4, 1e6, 3e9}) {
+    SCOPED_TRACE(top);
+    LogHistogram h;
+    std::vector<double> exact;
+    for (int i = 0; i < 5000; ++i) {
+      // Log-uniform over [1, top]: every octave of the range gets samples.
+      const auto v = static_cast<std::int64_t>(
+          std::exp(rng.uniform(0.0, std::log(top))));
+      h.add(v);
+      exact.push_back(static_cast<double>(v));
+    }
+    for (const double q : {0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+      const double want = quantile(exact, q);
+      EXPECT_LE(std::abs(h.quantile(q) - want),
+                LogHistogram::kRelativeError * want)
+          << "q=" << q << " exact " << want << " got " << h.quantile(q);
+    }
+  }
+}
+
+TEST(LogHistogram, EqualityIsMemberwise) {
+  LogHistogram a;
+  LogHistogram b;
+  EXPECT_TRUE(a == b);
+  a.add(1000);
+  EXPECT_FALSE(a == b);
+  b.add(1000);
+  EXPECT_TRUE(a == b);
+  // Same count, sum and max, different buckets.
+  a.add(10);
+  a.add(30);
+  b.add(20);
+  b.add(20);
+  EXPECT_FALSE(a == b);
+}
+
+TEST(LogHistogram, StorageDoesNotGrowWithSamples) {
+  // Trivially copyable: no heap storage, so the object is all there is.
+  static_assert(std::is_trivially_copyable_v<LogHistogram>);
+  LogHistogram few;
+  LogHistogram many;
+  for (std::int64_t i = 0; i < 10; ++i) few.add(i * 1000);
+  for (std::int64_t i = 0; i < 1'000'000; ++i) many.add(i * 1000);
+  EXPECT_EQ(sizeof(few), sizeof(many));
+  EXPECT_LE(sizeof(LogHistogram), std::size_t{32} * 1024);
+  EXPECT_EQ(many.count(), 1'000'000);
+  EXPECT_EQ(many.max(), 999'999'000);
 }
 
 TEST(Csv, EscapingRules) {
