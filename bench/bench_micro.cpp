@@ -14,10 +14,10 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <filesystem>
 #include <map>
-#include <queue>
 
 #include "bench_common.hpp"
 #include "workload/trace_binary.hpp"
@@ -199,14 +199,15 @@ void BM_SimulatorMaxFlow1k(benchmark::State& state) {
 BENCHMARK(BM_SimulatorMaxFlow1k)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Event-queue guardrail: the inlined 4-ary heap vs the replaced
-// std::priority_queue, on the simulator's schedule/pop churn pattern.
+// Event-queue guardrails: the heap fallback under random delays, and the
+// per-kind lanes under the simulator's fixed-delay mix.
 // ---------------------------------------------------------------------------
 
 /// Hold-model churn: keep `depth` events pending, pop one / push one — the
-/// classic discrete-event-queue access pattern.
-template <typename Queue>
-void event_churn(Queue& q, benchmark::State& state) {
+/// classic discrete-event-queue access pattern. Random delays within one
+/// kind break its lane's time order, so every push takes the heap fallback.
+void BM_EventQueueRandomDelayChurn(benchmark::State& state) {
+  EventQueue q;
   Rng rng(42);
   constexpr std::size_t kDepth = 4096;
   for (std::size_t i = 0; i < kDepth; ++i)
@@ -219,43 +220,33 @@ void event_churn(Queue& q, benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
+BENCHMARK(BM_EventQueueRandomDelayChurn);
 
-/// The pre-overhaul event core, kept as the "before" baseline.
-class BinaryHeapQueue {
- public:
-  void schedule(TimePoint time, int kind, std::size_t index) {
-    heap_.push(SimEvent{time, next_seq_++, kind, index, 0});
-  }
-  SimEvent pop() {
-    const SimEvent ev = heap_.top();
-    heap_.pop();
-    now_ = ev.time;
-    return ev;
-  }
-
- private:
-  struct Later {
-    bool operator()(const SimEvent& a, const SimEvent& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<SimEvent, std::vector<SimEvent>, Later> heap_;
-  std::uint64_t next_seq_ = 0;
-  TimePoint now_ = 0;
-};
-
-void BM_EventQueue4aryChurn(benchmark::State& state) {
+/// The simulator's delay mix: each kind fires at now() plus its own fixed
+/// delay (hop, queue timeout, settle, poll, pace), so within a kind events
+/// arrive in time order and the per-kind lanes take all of them. Arg = the
+/// offset added to every kind: 0 uses the lanes, EventQueue::kMaxLanes puts
+/// the same schedule through the heap fallback alone.
+void BM_EventQueueFixedDelayMix(benchmark::State& state) {
+  constexpr std::array<Duration, 5> kDelay = {100'000, 1'000'000, 50'000,
+                                              100'000, 200'000};
+  const int offset = static_cast<int>(state.range(0));
+  Rng rng(42);
   EventQueue q;
-  event_churn(q, state);
+  const auto schedule_next = [&](std::size_t index) {
+    const auto kind = static_cast<std::size_t>(rng.uniform_int(0, 4));
+    q.schedule(q.now() + kDelay[kind], offset + static_cast<int>(kind), index);
+  };
+  constexpr std::size_t kDepth = 4096;
+  for (std::size_t i = 0; i < kDepth; ++i) schedule_next(i);
+  for (auto _ : state) {
+    const auto ev = q.pop();
+    benchmark::DoNotOptimize(ev.index);
+    schedule_next(ev.index);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_EventQueue4aryChurn);
-
-void BM_EventQueueBinaryHeapChurn(benchmark::State& state) {
-  BinaryHeapQueue q;
-  event_churn(q, state);
-}
-BENCHMARK(BM_EventQueueBinaryHeapChurn);
+BENCHMARK(BM_EventQueueFixedDelayMix)->Arg(0)->Arg(EventQueue::kMaxLanes);
 
 // ---------------------------------------------------------------------------
 // Path-store guardrail: flat dense-index lookup vs the replaced std::map.

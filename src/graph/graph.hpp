@@ -148,6 +148,18 @@ struct Path {
   bool operator==(const Path& other) const = default;
 };
 
+/// FNV-1a over the path's edge sequence: the one key that identifies a path
+/// for the engine's retry blacklist and the transport's per-path state.
+/// Edge ids are append-only, so a key names one path for a run's lifetime.
+[[nodiscard]] inline std::uint64_t path_hash(const Path& path) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const EdgeId e : path.edges) {
+    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(e));
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
 /// Builds a Path from a node sequence, resolving each consecutive pair to the
 /// lowest-id connecting edge. Requires every consecutive pair to be adjacent.
 [[nodiscard]] Path make_path(const Graph& g,

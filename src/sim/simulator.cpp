@@ -923,21 +923,6 @@ void Simulator::churn_fail_channel(EdgeId closing) {
   }
 }
 
-namespace {
-
-/// FNV-1a over the path's edge sequence — the blacklist key. Edge ids are
-/// append-only, so a hash identifies one path for the run's whole lifetime.
-std::uint64_t path_hash(const Path& path) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const EdgeId e : path.edges) {
-    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(e));
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-}  // namespace
-
 void Simulator::handle_fault(std::size_t fault_index) {
   const FaultEvent fault = advance(fault_events_, fault_index);
 

@@ -6,19 +6,10 @@
 
 namespace spider {
 
-std::uint64_t PathRateController::path_key(const Path& path) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (EdgeId e : path.edges) {
-    h ^= static_cast<std::uint64_t>(e);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 PathRateController::PathState& PathRateController::state(const Path& path,
                                                          TimePoint now) {
   auto [it, inserted] =
-      paths_.try_emplace(path_key(path), config_, path.length(), now);
+      paths_.try_emplace(path_hash(path), config_, path.length(), now);
   (void)inserted;
   return it->second;
 }
@@ -94,7 +85,7 @@ std::vector<PathRateController::PathView> PathRateController::snapshot()
 }
 
 Amount PathRateController::window_for(const Path& path) const {
-  auto it = paths_.find(path_key(path));
+  auto it = paths_.find(path_hash(path));
   return it == paths_.end() ? config_.initial_window : it->second.window.window();
 }
 

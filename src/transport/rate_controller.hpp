@@ -12,7 +12,7 @@
 // modules/pacing, which meters the send path): RttEstimator smooths ack
 // round-trips, TokenPacer turns (window, rtt) into a release allowance, and
 // AimdController owns the window update rule. PathRateController composes
-// the three per path, keyed by a hash of the path's edge sequence.
+// the three per path, keyed by path_hash (graph/graph.hpp).
 //
 // Everything here is integer arithmetic over the engine's microsecond clock
 // and milli-XRP amounts — no floating-point state, no randomness — so the
@@ -127,7 +127,7 @@ class PathRateController {
 
   /// Introspection for tests and the live dashboard.
   struct PathView {
-    std::uint64_t key = 0;
+    std::uint64_t key = 0;  // path_hash of the path
     std::size_t hops = 0;
     Amount window = 0;
     Amount inflight = 0;
@@ -144,10 +144,6 @@ class PathRateController {
   [[nodiscard]] Amount total_inflight() const { return total_inflight_; }
   [[nodiscard]] std::size_t num_paths() const { return paths_.size(); }
   [[nodiscard]] const TransportConfig& config() const { return config_; }
-
-  /// FNV-1a over the path's edge sequence (matches the engine's retry
-  /// blacklist keying, so one hash recipe identifies a path everywhere).
-  [[nodiscard]] static std::uint64_t path_key(const Path& path);
 
  private:
   struct PathState {

@@ -128,6 +128,17 @@ TEST(Path, EmptyAndTrivial) {
   EXPECT_TRUE(is_valid_trail(g, trivial));
 }
 
+TEST(Path, HashIsPinnedFnv1aOverEdgeIds) {
+  // The blacklist and the transport's per-path state both key on this
+  // value; pinning it keeps their shared recipe from drifting.
+  Path p;
+  p.edges = {3, 0, 7};
+  EXPECT_EQ(path_hash(p), 0x8f47db4f2bda6265ULL);
+  EXPECT_EQ(path_hash(Path{}), 1469598103934665603ULL);  // FNV offset basis
+  p.edges = {7, 0, 3};
+  EXPECT_NE(path_hash(p), 0x8f47db4f2bda6265ULL);  // order matters
+}
+
 TEST(BfsPath, FindsShortestHopPath) {
   const Graph g = diamond();
   const Path p = bfs_path(g, 0, 3);

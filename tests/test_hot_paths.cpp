@@ -1,12 +1,16 @@
-// Hot-path overhaul regression suite (PR 2): the 4-ary event heap must pop
-// in the exact order of the std::priority_queue it replaced, the flat path
-// store must return byte-identical paths to a direct Yen / edge-disjoint
-// computation (including prefix stability for shared stores), and the
-// pooled chunk lifecycle + shared path store must leave fixed-seed
-// simulator metrics bit-identical run over run.
+// Hot-path regression suite. The event queue's per-kind FIFO lanes plus
+// heap fallback must pop in the exact (time, seq) order of a plain
+// std::priority_queue, under random delays and under the simulator's delay
+// mix (fixed-delay kinds plus a jittered one whose heap pushes tie lane heads
+// on time), across reset() and lane growth. The flat path store must return
+// byte-identical paths to a direct Yen / edge-disjoint computation
+// (including prefix stability for shared stores), and the pooled chunk
+// lifecycle + shared path store must leave fixed-seed simulator metrics
+// bit-identical run over run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <queue>
 #include <span>
@@ -28,10 +32,11 @@ namespace spider {
 namespace {
 
 // ---------------------------------------------------------------------------
-// 4-ary event heap vs the replaced binary std::priority_queue.
+// Event queue (lanes + heap) vs a plain std::priority_queue. The FourAryHeap
+// suite name is kept from the 4-ary heap these tests were first written for.
 // ---------------------------------------------------------------------------
 
-/// The pre-overhaul reference: std::priority_queue over (time, seq).
+/// The reference order: std::priority_queue over (time, seq).
 class ReferenceQueue {
  public:
   void schedule(TimePoint time, int kind, std::size_t index,
@@ -39,13 +44,20 @@ class ReferenceQueue {
     heap_.push(SimEvent{time, next_seq_++, kind, index, stamp});
   }
   [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
   SimEvent pop() {
     const SimEvent ev = heap_.top();
     heap_.pop();
     now_ = ev.time;
     return ev;
   }
+  [[nodiscard]] TimePoint next_time() const { return heap_.top().time; }
   [[nodiscard]] TimePoint now() const { return now_; }
+  void reset(TimePoint start) {
+    heap_ = {};
+    next_seq_ = 0;
+    now_ = start;
+  }
 
  private:
   struct Later {
@@ -76,8 +88,9 @@ TEST(FourAryHeap, MatchesPriorityQueueOrderUnderRandomizedSchedules) {
     int popped = 0;
     while (popped < 4000) {
       const bool can_pop = !queue.empty();
-      // Bias toward scheduling until enough events exist; delay 0 exercises
-      // the at-now ring against heap events at the same timestamp.
+      // Bias toward scheduling until enough events exist; a random delay
+      // per event sends most of them to the heap, and delay 0 puts lane
+      // and heap events on the same timestamp.
       if (scheduled < 4000 && (!can_pop || rng.uniform_int(0, 2) != 0)) {
         const auto delay = static_cast<Duration>(rng.uniform_int(0, 4));
         const int kind = static_cast<int>(rng.uniform_int(0, 5));
@@ -107,25 +120,124 @@ TEST(FourAryHeap, ScheduleAtNowInterleavesWithHeapEventsBySeq) {
   EventQueue q;
   q.schedule(10, 0, 0);
   (void)q.pop();  // now == 10
-  q.schedule(10, 1, 0);       // heap path would reject < now; equal goes ring
-  q.schedule(20, 2, 0);       // heap
-  q.schedule_at_now(3, 0);    // ring, seq after kind-1
-  q.schedule(10, 4, 0);       // ring again
+  q.schedule(q.now(), 1, 0);
+  q.schedule(20, 2, 0);
+  q.schedule(q.now(), 3, 0);  // seq after kind-1
+  q.schedule(10, 4, 0);
   // Order must be pure (time, seq): kinds 1, 3, 4 at t=10, then 2 at t=20.
   EXPECT_EQ(q.pop().kind, 1);
   EXPECT_EQ(q.pop().kind, 3);
   EXPECT_EQ(q.pop().kind, 4);
   EXPECT_EQ(q.pop().kind, 2);
   EXPECT_TRUE(q.empty());
+
+  // Same kind: an event at now() behind a later tail leaves the lane for the
+  // heap, and still pops by seq among its lane's and other lanes' events.
+  q.schedule(30, 1, 0);
+  q.schedule(q.now(), 1, 1);  // lane 1's tail is at 30: heap
+  q.schedule(q.now(), 2, 0);
+  q.schedule(q.now(), 1, 2);  // heap
+  EXPECT_EQ(q.pop().index, 1u);
+  EXPECT_EQ(q.pop().kind, 2);
+  EXPECT_EQ(q.pop().index, 2u);
+  const SimEvent last = q.pop();
+  EXPECT_EQ(last.time, 30);
+  EXPECT_EQ(last.index, 0u);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(FourAryHeap, SizeCountsRingAndHeap) {
   EventQueue q;
   q.schedule(5, 0, 0);
-  q.schedule_at_now(1, 0);  // at time 0
+  q.schedule(q.now(), 1, 0);  // at time 0
+  q.schedule(3, 0, 1);        // lane 0's tail is at 5: heap
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.pop().kind, 1);  // time 0 < 3 < 5
   EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.pop().kind, 1);  // ring first: time 0 < 5
+  EXPECT_EQ(q.pop().index, 1u);
   EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(EventLanes, MatchesPriorityQueueOrderUnderSimulatorDelayMix) {
+  // Fixed delays per kind, like the simulator's hop, timeout, settle, poll
+  // and zero-delay events. Kind 5 is jittered like a fault's extra_delay on
+  // the same 50 ms grid, so its heap pushes tie lane heads on time; kind 40
+  // has no lane at all.
+  constexpr std::array<Duration, 5> kFixed = {100'000, 1'000'000, 50'000,
+                                              100'000, 0};
+  constexpr int kJittered = 5;
+  constexpr int kLaneless = 40;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    EventQueue queue;
+    ReferenceQueue reference;
+    const auto schedule_one = [&] {
+      const int pick = static_cast<int>(rng.uniform_int(0, 6));
+      const int kind = pick == 6 ? kLaneless : pick;
+      const Duration delay =
+          kind < kJittered ? kFixed[static_cast<std::size_t>(kind)]
+                           : 50'000 * rng.uniform_int(0, 24);
+      const auto index = static_cast<std::size_t>(rng.uniform_int(0, 1 << 20));
+      queue.schedule(queue.now() + delay, kind, index, seed);
+      reference.schedule(reference.now() + delay, kind, index, seed);
+    };
+    for (int step = 0; step < 20000; ++step) {
+      if (step == 10000) {
+        // Reuse mid-stream, right after a peek: pending events and the
+        // cached winner are dropped, the lanes keep their capacity, and the
+        // clock restarts from the given time.
+        (void)queue.next_time();
+        queue.reset(queue.now());
+        reference.reset(reference.now());
+      }
+      if (queue.empty())
+        for (int i = 0; i < 64; ++i) schedule_one();
+      // Peek first half the time: schedule() after next_time() must update
+      // the cached winner when the new event is earlier (delay 0).
+      if (rng.uniform_int(0, 1) == 0) {
+        ASSERT_EQ(queue.next_time(), reference.next_time());
+        schedule_one();
+      }
+      expect_same_event(queue.pop(), reference.pop());
+      // A handler schedules 0-2 follow-ups, holding about 64 pending.
+      const std::int64_t follow =
+          queue.size() < 64 ? rng.uniform_int(1, 2) : rng.uniform_int(0, 1);
+      for (std::int64_t i = 0; i < follow; ++i) schedule_one();
+      ASSERT_EQ(queue.size(), reference.size());
+    }
+    while (!queue.empty()) expect_same_event(queue.pop(), reference.pop());
+    EXPECT_TRUE(reference.empty());
+  }
+}
+
+TEST(EventLanes, ResetDropsTheCachedWinner) {
+  EventQueue q;
+  q.schedule(5, 0, 0);
+  EXPECT_EQ(q.next_time(), 5);  // caches lane 0 as the winner
+  q.reset();
+  q.schedule(9, 1, 1);  // lane 0 is empty now; only lane 1 holds an event
+  const SimEvent ev = q.pop();
+  EXPECT_EQ(ev.kind, 1);
+  EXPECT_EQ(ev.time, 9);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventLanes, LaneWrapsAndGrowsWhileNonEmpty) {
+  EventQueue q;
+  // Fill one lane to its first capacity (16), pop most of it so the head
+  // sits near the end of the ring, then append past the wrap and past the
+  // capacity: the growth must unwrap the ring without losing order.
+  for (std::size_t i = 0; i < 16; ++i)
+    q.schedule(static_cast<TimePoint>(i), 0, i);
+  for (std::size_t i = 0; i < 12; ++i) EXPECT_EQ(q.pop().index, i);
+  for (std::size_t i = 16; i < 60; ++i)
+    q.schedule(static_cast<TimePoint>(i), 0, i);
+  for (std::size_t i = 12; i < 60; ++i) {
+    const SimEvent ev = q.pop();
+    EXPECT_EQ(ev.index, i);
+    EXPECT_EQ(ev.time, static_cast<TimePoint>(i));
+  }
+  EXPECT_TRUE(q.empty());
 }
 
 // ---------------------------------------------------------------------------
