@@ -128,7 +128,10 @@ class SimSession {
   /// read the per-path window/rate snapshot. With amp_atomic the returned
   /// reference is the AtomicAdapter wrapper, not the base router.
   [[nodiscard]] const Router& router() const;
-  /// Per-payment outcomes (grows as arrivals are processed).
+  /// The payments still resident (Simulator::payments): live payments
+  /// plus a retired prefix awaiting compaction; empty after drain(). The
+  /// engine keeps it bounded, so per-payment outcomes over a whole run come
+  /// from SimObserver::on_payment_retired, which sees every final record.
   [[nodiscard]] const std::vector<Payment>& payments() const;
   /// Total topology changes submitted so far.
   [[nodiscard]] std::size_t submitted_topology() const;

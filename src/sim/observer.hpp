@@ -62,6 +62,15 @@ class SimObserver {
     (void)payment;
     (void)now;
   }
+  /// The engine dropped a resolved payment from its table: `payment` is its
+  /// final record (terminal status, final `delivered`, nothing inflight).
+  /// Fires exactly once per payment, in ascending id order — at the first
+  /// arrival after it and every earlier payment resolved, or at drain() —
+  /// so it may lag the terminal hook by up to a deadline.
+  virtual void on_payment_retired(const Payment& payment, TimePoint now) {
+    (void)payment;
+    (void)now;
+  }
   /// A transaction unit committed funds on `path` (counted in chunks_sent).
   virtual void on_chunk_locked(const Path& path, Amount amount,
                                TimePoint now) {

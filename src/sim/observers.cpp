@@ -12,18 +12,34 @@ void WindowedMetrics::on_payment_arrival(const Payment& payment, TimePoint) {
   current_.attempted_volume += payment.total;
 }
 
+namespace {
+
+/// The slot of `series` for the window `payment` arrived in, grown on
+/// demand. Before the first complete roll the window length is unknown and
+/// every payment arrived in window 0.
+template <typename T>
+T& by_arrival(std::vector<T>& series, const Payment& payment,
+              Duration length) {
+  const auto arrived_in =
+      static_cast<std::size_t>(length > 0 ? payment.arrival / length : 0);
+  if (arrived_in >= series.size()) series.resize(arrived_in + 1, 0);
+  return series[arrived_in];
+}
+
+}  // namespace
+
 void WindowedMetrics::on_payment_complete(const Payment& payment, TimePoint) {
   current_.completed += 1;
   current_.completed_volume += payment.total;
-  const auto arrived_in =
-      static_cast<std::size_t>(length_ > 0 ? payment.arrival / length_ : 0);
-  if (arrived_in >= completed_by_arrival_.size())
-    completed_by_arrival_.resize(arrived_in + 1, 0);
-  completed_by_arrival_[arrived_in] += 1;
+  by_arrival(completed_by_arrival_, payment, length_) += 1;
 }
 
 void WindowedMetrics::on_payment_failed(const Payment&, TimePoint) {
   current_.failed += 1;
+}
+
+void WindowedMetrics::on_payment_retired(const Payment& payment, TimePoint) {
+  by_arrival(delivered_by_arrival_, payment, length_) += payment.delivered;
 }
 
 void WindowedMetrics::on_chunk_locked(const Path&, Amount, TimePoint) {
@@ -65,7 +81,8 @@ WindowedMetrics::SteadyState WindowedMetrics::steady_state() const {
     if (w.index < completed_by_arrival_.size())
       steady.completed += completed_by_arrival_[w.index];
     steady.attempted_volume += w.attempted_volume;
-    steady.delivered_volume += w.delivered_volume;
+    if (w.index < delivered_by_arrival_.size())
+      steady.delivered_volume += delivered_by_arrival_[w.index];
     if (w.attempted > 0)
       steady.per_window_success_ratio.add(w.success_ratio());
   }

@@ -84,6 +84,11 @@ class WindowedMetrics final : public SimObserver {
     /// the aggregate success_ratio lies in [0, 1].
     std::int64_t completed = 0;
     Amount attempted_volume = 0;
+    /// Of the same cohort, the value each payment finally delivered,
+    /// counted when it retires (on_payment_retired), so the aggregate
+    /// success_volume lies in [0, 1]. Unlike the per-window
+    /// WindowStats::delivered_volume, this is by arrival window, not by
+    /// settle time.
     Amount delivered_volume = 0;
     /// Aggregate ratios over the steady span (0 when it saw no arrivals).
     double success_ratio = 0.0;
@@ -99,6 +104,7 @@ class WindowedMetrics final : public SimObserver {
   void on_payment_arrival(const Payment& payment, TimePoint now) override;
   void on_payment_complete(const Payment& payment, TimePoint now) override;
   void on_payment_failed(const Payment& payment, TimePoint now) override;
+  void on_payment_retired(const Payment& payment, TimePoint now) override;
   void on_chunk_locked(const Path& path, Amount amount,
                        TimePoint now) override;
   void on_chunk_settled(const Path& path, Amount amount,
@@ -113,6 +119,8 @@ class WindowedMetrics final : public SimObserver {
   // first complete roll, every payment arrived in window 0): the steady
   // aggregate's numerator.
   std::vector<std::int64_t> completed_by_arrival_;
+  // Final delivered value indexed the same way (by arrival window).
+  std::vector<Amount> delivered_by_arrival_;
   WindowStats current_;  // open-window accumulator (boundaries unset)
   WindowStats tail_;
   bool has_tail_ = false;

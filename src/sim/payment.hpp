@@ -41,6 +41,9 @@ struct Payment {
   bool ever_locked = false;     // at least one chunk ever committed funds
   bool fault_hit = false;       // a fault killed one of its chunks/paths
   bool churn_hit = false;       // a channel close killed one of its chunks
+  // Engine bookkeeping: the payment has an entry in the simulator's pending
+  // queue (which may outlive its kPending status until the next poll).
+  bool in_pending = false;
 
   /// Funds not yet delivered nor inflight — what the next attempt may send.
   [[nodiscard]] Amount remaining() const {

@@ -33,11 +33,13 @@ std::string scheduler_policy_name(SchedulerPolicy policy) {
 void order_pending(SchedulerPolicy policy,
                    const std::vector<Payment>& payments,
                    std::vector<PendingEntry>& pending,
-                   std::vector<PendingEntry>& scratch) {
+                   std::vector<PendingEntry>& scratch, std::size_t base) {
+  // The key pass below checks every entry's index once; the comparator
+  // then reads through the base unchecked.
   const auto less = [&](const PendingEntry& a, const PendingEntry& b) {
     if (a.key != b.key) return a.key < b.key;
-    const Payment& pa = payments[a.index];
-    const Payment& pb = payments[b.index];
+    const Payment& pa = payments[a.index - base];
+    const Payment& pb = payments[b.index - base];
     if (pa.arrival != pb.arrival) return pa.arrival < pb.arrival;
     return pa.id < pb.id;
   };
@@ -47,7 +49,11 @@ void order_pending(SchedulerPolicy policy,
   std::size_t kept = 0;
   for (std::size_t read = 0; read < pending.size(); ++read) {
     const PendingEntry entry = pending[read];
-    const std::int64_t key = order_key(policy, payments[entry.index]);
+    SPIDER_ASSERT_MSG(entry.index >= base &&
+                          entry.index - base < payments.size(),
+                      "pending entry outside the payment window");
+    const std::int64_t key =
+        order_key(policy, payments[entry.index - base]);
     if (entry.key == key && entry.key != kNeverOrdered)
       pending[kept++] = entry;
     else

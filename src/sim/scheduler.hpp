@@ -46,10 +46,13 @@ struct PendingEntry {
 /// (in `scratch`, reused across calls) and merged into that run. Afterwards
 /// `pending` holds the full (key, arrival, id) order with fresh keys — the
 /// same order a from-scratch sort gives.
+///
+/// Entry indices are absolute: `payments[0]` holds index `base` (the
+/// simulator's payment window, whose retired prefix is gone).
 void order_pending(SchedulerPolicy policy,
                    const std::vector<Payment>& payments,
                    std::vector<PendingEntry>& pending,
-                   std::vector<PendingEntry>& scratch);
+                   std::vector<PendingEntry>& scratch, std::size_t base = 0);
 
 /// Orders `pending` (indices into `payments`) from scratch: order_pending
 /// with every entry unordered.

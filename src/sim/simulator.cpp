@@ -83,9 +83,9 @@ void Simulator::begin(const std::vector<PaymentSpec>& trace) {
   churn_.reset(nullptr);
   fault_events_.reset(nullptr);
   payments_.clear();
-  payments_.reserve(trace.size());
+  payments_base_ = 0;
+  retired_ = 0;
   pending_.clear();
-  in_pending_.clear();
   inflight_.clear();
   free_chunks_.clear();
   metrics_ = SimMetrics{};
@@ -199,6 +199,7 @@ std::size_t Simulator::advance_until(TimePoint horizon) {
 std::size_t Simulator::drain() {
   const std::size_t processed =
       run_events_until(std::numeric_limits<TimePoint>::max());
+  retire_resolved(/*drop_all=*/true);
   finish_windows();
   network_->check_invariants();
   return processed;
@@ -252,9 +253,10 @@ void Simulator::finish_windows() {
 }
 
 void Simulator::ensure_pending(std::size_t payment_index) {
-  if (payments_[payment_index].status != PaymentStatus::kPending) return;
-  if (in_pending_[payment_index]) return;
-  in_pending_[payment_index] = 1;
+  Payment& p = payment(payment_index);
+  if (p.status != PaymentStatus::kPending) return;
+  if (p.in_pending) return;
+  p.in_pending = true;
   pending_.push_back(PendingEntry{payment_index, kNeverOrdered});
   if (!poll_scheduled_) {
     push_event(now() + config_.poll_interval, EventKind::kPoll, 0);
@@ -274,6 +276,10 @@ void Simulator::handle_arrival(std::size_t trace_index) {
   // In a streaming session the chain simply runs dry when the submitter
   // falls behind the clock; trace_extended() restarts it.
   const PaymentSpec spec = advance(arrivals_, trace_index);
+  // Retire before appending, so the window drops what resolved since the
+  // last arrival and the append reuses the space a compaction freed.
+  retire_resolved(/*drop_all=*/false);
+  SPIDER_ASSERT(trace_index == payments_base_ + payments_.size());
 
   Payment p;
   p.id = static_cast<PaymentId>(trace_index);
@@ -285,32 +291,30 @@ void Simulator::handle_arrival(std::size_t trace_index) {
                (spec.deadline > 0 ? spec.deadline : config_.default_deadline);
   p.atomic = router_->is_atomic();
   payments_.push_back(p);
-  in_pending_.push_back(0);
-  const std::size_t index = payments_.size() - 1;
 
   metrics_.attempted_count += 1;
   metrics_.attempted_volume += spec.amount;
   for (SimObserver* observer : observers_)
-    observer->on_payment_arrival(payments_[index], now());
+    observer->on_payment_arrival(payment(trace_index), now());
 
   if (config_.admission_cap > 0 && spec.amount > config_.admission_cap) {
     metrics_.admission_refused += 1;
-    payments_[index].refused = true;  // keep it out of the per-cause split
-    finish_payment(index, PaymentStatus::kRejected);
+    payment(trace_index).refused = true;  // keep it out of the per-cause split
+    finish_payment(trace_index, PaymentStatus::kRejected);
     return;
   }
 
-  attempt(index);
-  Payment& stored = payments_[index];
+  attempt(trace_index);
+  Payment& stored = payment(trace_index);
   if (stored.status != PaymentStatus::kPending) return;
   if (stored.atomic) {
     // Atomic schemes get exactly one shot; if nothing was locked the
     // payment failed, and if everything was locked it completes at settle.
     if (stored.inflight == 0 && stored.delivered == 0)
-      finish_payment(index, PaymentStatus::kRejected);
+      finish_payment(trace_index, PaymentStatus::kRejected);
     return;
   }
-  if (stored.remaining() > 0) ensure_pending(index);
+  if (stored.remaining() > 0) ensure_pending(trace_index);
 }
 
 std::size_t Simulator::new_chunk(const Path& path, Amount amount,
@@ -386,7 +390,7 @@ void Simulator::queue_remove(EdgeId edge, int side, std::size_t chunk_index) {
 }
 
 Amount Simulator::attempt(std::size_t payment_index, bool paced) {
-  Payment& p = payments_[payment_index];
+  Payment& p = payment(payment_index);
   Amount want = p.remaining();
   if (want <= 0) return 0;
   if (!paced) {
@@ -646,7 +650,7 @@ void Simulator::complete_chunk(std::size_t chunk_index) {
 
   network_->settle_path(chunk.path, chunk.amount);
   accrue_fees(chunk.path, chunk.amount);
-  Payment& p = payments_[chunk.payment];
+  Payment& p = payment(chunk.payment);
   SPIDER_ASSERT(p.inflight >= chunk.amount);
   p.inflight -= chunk.amount;
   p.delivered += chunk.amount;
@@ -683,7 +687,7 @@ void Simulator::abort_chunk(std::size_t chunk_index, EdgeId closing,
                          ch.side_of(chunk.path.nodes[h]), chunk.amount);
   }
   const std::size_t payment_index = chunk.payment;
-  Payment& p = payments_[payment_index];
+  Payment& p = payment(payment_index);
   SPIDER_ASSERT(p.inflight >= chunk.amount);
   p.inflight -= chunk.amount;
   switch (cause) {
@@ -791,9 +795,9 @@ void Simulator::handle_transport_pace() {
   for (std::size_t read = 0; read < pending_.size(); ++read) {
     const PendingEntry entry = pending_[read];
     const std::size_t pi = entry.index;
-    Payment& p = payments_[pi];
+    Payment& p = payment(pi);
     if (p.status != PaymentStatus::kPending) {
-      in_pending_[pi] = 0;
+      p.in_pending = false;
       continue;
     }
     if (p.remaining() > 0 && now() < p.deadline && p.next_retry_at <= now())
@@ -804,7 +808,7 @@ void Simulator::handle_transport_pace() {
     if (unfinished_business) {
       pending_[write++] = entry;
     } else {
-      in_pending_[pi] = 0;
+      p.in_pending = false;
     }
   }
   pending_.resize(write);
@@ -1046,8 +1050,8 @@ void Simulator::handle_poll() {
   // never reallocates.
   std::size_t write = 0;
   for (const PendingEntry& entry : pending_) {
-    Payment& p = payments_[entry.index];
-    in_pending_[entry.index] = 0;
+    Payment& p = payment(entry.index);
+    p.in_pending = false;
     if (p.status != PaymentStatus::kPending) continue;  // completed meanwhile
     if (now() >= p.deadline) {
       expire(entry.index);
@@ -1056,13 +1060,14 @@ void Simulator::handle_poll() {
     pending_[write++] = entry;
   }
   pending_.resize(write);
-  order_pending(config_.scheduler, payments_, pending_, order_scratch_);
+  order_pending(config_.scheduler, payments_, pending_, order_scratch_,
+                payments_base_);
 
   write = 0;
   for (std::size_t read = 0; read < pending_.size(); ++read) {
     const PendingEntry entry = pending_[read];
     const std::size_t pi = entry.index;
-    Payment& p = payments_[pi];
+    Payment& p = payment(pi);
     if (p.status != PaymentStatus::kPending) continue;
     if (p.remaining() > 0) {
       if (config_.retry_limit > 0 && p.attempts >= config_.retry_limit) {
@@ -1081,7 +1086,7 @@ void Simulator::handle_poll() {
         (p.remaining() > 0 || p.inflight > 0);
     if (unfinished_business) {
       pending_[write++] = entry;
-      in_pending_[pi] = 1;
+      p.in_pending = true;
     }
   }
   pending_.resize(write);
@@ -1093,7 +1098,7 @@ void Simulator::handle_poll() {
 }
 
 void Simulator::expire(std::size_t payment_index) {
-  Payment& p = payments_[payment_index];
+  Payment& p = payment(payment_index);
   // Inflight chunks still settle (their keys are in flight); only the
   // never-sent remainder is abandoned.
   if (p.delivered != p.total) metrics_.deadline_misses += 1;
@@ -1104,7 +1109,7 @@ void Simulator::expire(std::size_t payment_index) {
 
 void Simulator::finish_payment(std::size_t payment_index,
                                PaymentStatus status) {
-  Payment& p = payments_[payment_index];
+  Payment& p = payment(payment_index);
   SPIDER_ASSERT(p.status == PaymentStatus::kPending);
   p.status = status;
   // Split failures by cause (admission refusals keep their own counter).
@@ -1144,9 +1149,36 @@ void Simulator::finish_payment(std::size_t payment_index,
       break;
     case PaymentStatus::kPending: break;
   }
-  // The payment is settled history; its fault blacklist (if any) is dead
-  // weight now. Hot path pays one emptiness check.
-  if (!blacklists_.empty()) blacklists_.erase(payment_index);
+}
+
+void Simulator::retire_resolved(bool drop_all) {
+  // Resolved: terminal, no unit inflight (its final `delivered` is known,
+  // and no chunk or fault can name it again), and out of the pending queue
+  // (no poll or pace round will read it).
+  while (retired_ < payments_.size()) {
+    const Payment& p = payments_[retired_];
+    if (p.status == PaymentStatus::kPending || p.inflight != 0 ||
+        p.in_pending)
+      break;
+    for (SimObserver* observer : observers_)
+      observer->on_payment_retired(p, now());
+    // A doomed unit that outlived its payment's finish may have
+    // blacklisted a path since; only retirement is past every such unit.
+    // Hot path pays one emptiness check.
+    if (!blacklists_.empty()) blacklists_.erase(payments_base_ + retired_);
+    ++retired_;
+  }
+  if (drop_all)
+    SPIDER_ASSERT_MSG(retired_ == payments_.size(),
+                      "payment " << payments_base_ + retired_
+                                 << " unresolved with no event left");
+  // Erasing only a prefix at least half the window moves each record O(1)
+  // times amortized.
+  if (retired_ == 0 || (!drop_all && 2 * retired_ < payments_.size())) return;
+  payments_.erase(payments_.begin(),
+                  payments_.begin() + static_cast<std::ptrdiff_t>(retired_));
+  payments_base_ += retired_;
+  retired_ = 0;
 }
 
 void init_router_for_run(Router& router, const Network& network,

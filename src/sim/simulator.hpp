@@ -205,9 +205,22 @@ class Simulator {
   /// Windows are anchored at t = 0. Set before the first event.
   void set_metrics_window(Duration window);
 
-  /// Payment table after run() — tests inspect per-payment outcomes.
+  /// The payments still resident: a window over absolute payment ids
+  /// (DESIGN.md "Bounded engine state"). A payment is retired once it is
+  /// resolved (terminal, nothing inflight, out of the pending queue) and
+  /// every earlier id is too; on_payment_retired hands observers its final
+  /// record. The window's front may still hold retired records until the
+  /// next compaction; drain() retires and drops everything, so after a run
+  /// this is empty. Whole-run outcomes come from the hook, not from here.
   [[nodiscard]] const std::vector<Payment>& payments() const {
     return payments_;
+  }
+
+  /// Payments with a live fault blacklist (paths that dropped or griefed
+  /// one of their units). Entries go with their payment at retirement, so
+  /// a drained run holds none.
+  [[nodiscard]] std::size_t blacklisted_payments() const {
+    return blacklists_.size();
   }
 
  private:
@@ -236,7 +249,7 @@ class Simulator {
   struct InflightChunk {
     Path path;
     Amount amount = 0;
-    std::size_t payment = 0;  // index into payments_
+    std::size_t payment = 0;  // absolute payment id (see payment())
     // Hops [0, hops_locked) hold our funds: the whole path once a
     // source-queue chunk locks, the travelled prefix in router-queue mode.
     std::size_t hops_locked = 0;
@@ -352,7 +365,8 @@ class Simulator {
   [[nodiscard]] bool path_fault_blocked(std::size_t payment_index,
                                         const Path& path) const;
   /// Remembers that `path` failed `payment_index` by fault, so retries
-  /// skip it (cleared when the payment finishes).
+  /// skip it (erased when the payment retires: a doomed unit may outlive
+  /// its payment's deadline and still land here).
   void blacklist_path(std::size_t payment_index, const Path& path);
   /// Counts, announces (transport send, on_chunk_locked) and schedules one
   /// freshly locked chunk: a hop-by-hop unit travels its first hop
@@ -376,6 +390,20 @@ class Simulator {
   Amount attempt(std::size_t payment_index, bool paced = false);
   void expire(std::size_t payment_index);
   void finish_payment(std::size_t payment_index, PaymentStatus status);
+  /// The one access to a resident payment by absolute id; asserts the id
+  /// arrived and is not retired.
+  [[nodiscard]] Payment& payment(std::size_t id) {
+    SPIDER_ASSERT_MSG(id >= payments_base_ + retired_ &&
+                          id - payments_base_ < payments_.size(),
+                      "payment " << id << " is retired or has not arrived");
+    return payments_[id - payments_base_];
+  }
+  /// Retires the resolved prefix of the payment window (firing
+  /// on_payment_retired and dropping each one's blacklist, in id order),
+  /// then erases the retired prefix once it is at least half the window —
+  /// or always, with `drop_all` (drain), which expects every payment to be
+  /// resolved.
+  void retire_resolved(bool drop_all);
   void accrue_fees(const Path& path, Amount amount);
 
   // Chunk-slot pool: acquire copies the path into the slot's recycled
@@ -425,7 +453,8 @@ class Simulator {
   // Per-payment fault blacklists: FNV-1a hashes of the edge sequences that
   // failed this payment by drop/grief. Empty for the vast majority of
   // payments even in heavily faulted runs, so a map beats a per-payment
-  // vector field.
+  // vector field. Keys are resident payment ids only (erased at
+  // retirement).
   std::unordered_map<std::size_t, std::vector<std::uint64_t>> blacklists_;
   TimePoint advanced_horizon_ = 0;  // high-water mark of advance_until
 
@@ -437,12 +466,16 @@ class Simulator {
   bool events_since_roll_ = false;  // open window absorbed an event
   bool tail_emitted_ = false;       // current tail snapshot already emitted
 
+  // Payment window: payments_[i] holds id payments_base_ + i, and its
+  // first retired_ records are retired but not yet erased.
   std::vector<Payment> payments_;
+  std::size_t payments_base_ = 0;
+  std::size_t retired_ = 0;
   // Payments with remaining > 0, each with the key it was last ordered by
   // (see order_pending); order_scratch_ is that call's reused buffer.
+  // Membership is Payment::in_pending.
   std::vector<PendingEntry> pending_;
   std::vector<PendingEntry> order_scratch_;
-  std::vector<char> in_pending_;  // membership flags for pending_
   std::vector<InflightChunk> inflight_;
   std::vector<std::size_t> free_chunks_;
   std::uint64_t next_stamp_ = 1;

@@ -9,6 +9,7 @@
 #include "routing/shortest_path_router.hpp"
 #include "routing/waterfilling_router.hpp"
 #include "sim/simulator.hpp"
+#include "test_support.hpp"
 #include "topology/topology.hpp"
 
 namespace spider {
@@ -156,6 +157,8 @@ TEST(RouterQueue, UnitWaitsInChannelQueueAndIsServed) {
   SimConfig config = router_queue_config();
   config.default_deadline = seconds(10.0);
   Simulator sim(net, router, config);
+  RetiredPayments retired;
+  sim.attach(retired);
   const SimMetrics m = sim.run({
       spec(0.10, 0, 2, xrp(3)),  // Pa: in flight toward node 1
       spec(0.12, 1, 2, xrp(5)),  // Pb: drains (1,2) before Pa arrives
@@ -167,7 +170,8 @@ TEST(RouterQueue, UnitWaitsInChannelQueueAndIsServed) {
   EXPECT_EQ(m.served_queue_wait_us.count(), 1);
   EXPECT_GT(m.served_queue_wait_us.sum(), 0);
   net.check_invariants();
-  for (const Payment& p : sim.payments()) EXPECT_EQ(p.inflight, 0);
+  retired.expect_every_id_once(3);
+  for (const Payment& p : retired.records()) EXPECT_EQ(p.inflight, 0);
 }
 
 TEST(RouterQueue, QueueTimeoutRollsBackUpstreamLocks) {
@@ -178,6 +182,8 @@ TEST(RouterQueue, QueueTimeoutRollsBackUpstreamLocks) {
   SimConfig config = router_queue_config();
   config.default_deadline = seconds(3.0);
   Simulator sim(net, router, config);
+  RetiredPayments retired;
+  sim.attach(retired);
   const SimMetrics m = sim.run({
       spec(0.10, 0, 2, xrp(3)),  // queues at (1,2), times out, expires
       spec(0.12, 1, 2, xrp(5)),  // drains the middle hop for good
@@ -188,7 +194,8 @@ TEST(RouterQueue, QueueTimeoutRollsBackUpstreamLocks) {
   // The rolled-back unit returned its upstream lock: channel (0,1) intact.
   EXPECT_EQ(net.available(0, 0) + net.available(1, 0), xrp(10));
   net.check_invariants();
-  for (const Payment& p : sim.payments()) EXPECT_EQ(p.inflight, 0);
+  retired.expect_every_id_once(2);
+  for (const Payment& p : retired.records()) EXPECT_EQ(p.inflight, 0);
 }
 
 TEST(RouterQueue, HeadOfLineBlockingThenRelease) {
@@ -203,6 +210,8 @@ TEST(RouterQueue, HeadOfLineBlockingThenRelease) {
   config.default_deadline = seconds(2.0);
   config.queue_timeout = seconds(1.5);
   Simulator sim(net, router, config);
+  RetiredPayments retired;
+  sim.attach(retired);
   const SimMetrics m = sim.run({
       spec(0.10, 0, 2, xrp(4)),  // Pa: future head of the (1,2) queue
       spec(0.11, 0, 2, xrp(1)),  // Pb: small unit behind it
@@ -214,7 +223,8 @@ TEST(RouterQueue, HeadOfLineBlockingThenRelease) {
   EXPECT_EQ(m.completed_count, 3); // ...then Pb, plus Pc and Pd, complete
   EXPECT_EQ(m.expired_count, 1);   // Pa expires with nothing delivered
   net.check_invariants();
-  for (const Payment& p : sim.payments()) EXPECT_EQ(p.inflight, 0);
+  retired.expect_every_id_once(4);
+  for (const Payment& p : retired.records()) EXPECT_EQ(p.inflight, 0);
 }
 
 TEST(RouterQueue, LoadedIspRunKeepsInvariants) {

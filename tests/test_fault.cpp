@@ -312,6 +312,48 @@ TEST(FaultInjection, PaymentDeadlineProducesDeadlineMisses) {
   EXPECT_GT(patient.completion_after_retry, 0);
 }
 
+TEST(FaultInjection, BlacklistsLeaveWithTheirPayments) {
+  // Griefed units are held 10 s, past every payment's deadline, so each
+  // refund (and the blacklist entry it writes) lands after its payment
+  // finished; lossy channels add drops. A blacklist must still go when its
+  // payment retires: none may name a payment the engine no longer holds,
+  // and a drained run keeps none, so the commit-time fault filter turns
+  // off again once the grief clears.
+  const ScenarioInstance scenario = small_isp(600, 33);
+  std::vector<FaultEvent> faults;
+  for (NodeId node = 0; node < 8; ++node)
+    faults.push_back(FaultEvent::grief(milliseconds(100), node, seconds(10.0)));
+  for (EdgeId e = 0; e < scenario.graph.num_edges(); e += 3)
+    faults.push_back(FaultEvent::loss(milliseconds(200), e, 0.3));
+  for (NodeId node = 0; node < 8; ++node)
+    faults.push_back(FaultEvent::grief(seconds(1.0), node, 0));
+
+  for (const Scheme scheme :
+       {Scheme::kShortestPath, Scheme::kSpiderWaterfilling}) {
+    SCOPED_TRACE(scheme_name(scheme));
+    Network network(scenario.graph);
+    const std::unique_ptr<Router> router = make_router(scheme, scenario.config);
+    init_router_for_run(*router, network, scenario.config.sim,
+                        &scenario.trace, nullptr);
+    Simulator sim(network, *router, scenario.config.sim);
+    sim.begin(scenario.trace);
+    sim.begin_faults(faults);
+    std::size_t most_blacklisted = 0;
+    for (TimePoint t = milliseconds(250); !sim.idle(); t += milliseconds(250)) {
+      sim.advance_until(t);
+      most_blacklisted = std::max(most_blacklisted, sim.blacklisted_payments());
+      EXPECT_LE(sim.blacklisted_payments(), sim.payments().size())
+          << "at t=" << t;
+    }
+    sim.drain();
+    const SimMetrics m = sim.metrics();
+    EXPECT_GT(m.chunks_faulted, 0);
+    EXPECT_GT(most_blacklisted, 0u);
+    EXPECT_EQ(sim.blacklisted_payments(), 0u);
+    EXPECT_TRUE(sim.payments().empty());
+  }
+}
+
 TEST(FaultInjection, ConfigRejectsNegativeResilienceKnobs) {
   SpiderConfig config;
   config.sim.retry_limit = -1;

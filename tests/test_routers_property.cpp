@@ -9,6 +9,7 @@
 #include "core/config.hpp"
 #include "core/experiment.hpp"
 #include "sim/simulator.hpp"
+#include "test_support.hpp"
 #include "topology/topology.hpp"
 
 namespace spider {
@@ -63,6 +64,8 @@ TEST_P(SchemeTopologyProperty, InvariantsHoldAcrossFullRun) {
   context.delta_seconds = to_seconds(config.sim.delta);
   router->init(network, context);
   Simulator sim(network, *router, config.sim);
+  RetiredPayments retired;
+  sim.attach(retired);
   const SimMetrics metrics = sim.run(trace);
 
   // Hard financial invariants.
@@ -73,7 +76,8 @@ TEST_P(SchemeTopologyProperty, InvariantsHoldAcrossFullRun) {
   EXPECT_LE(metrics.completed_volume, metrics.delivered_volume);
 
   Amount delivered_sum = 0;
-  for (const Payment& p : sim.payments()) {
+  retired.expect_every_id_once(400);
+  for (const Payment& p : retired.records()) {
     EXPECT_LE(p.delivered, p.total);
     EXPECT_EQ(p.inflight, 0) << "payment left funds inflight";
     EXPECT_NE(p.status, PaymentStatus::kPending) << "payment unresolved";

@@ -328,11 +328,15 @@ TEST(SimSession, ResumesAfterRunningDry) {
   const ScenarioInstance scenario = small_isp();
   const SpiderNetwork net(scenario.graph, scenario.config);
   SimSession session = net.session(Scheme::kSpiderWaterfilling);
+  RetiredPayments retired;
+  session.attach(retired);
   const std::size_t half = scenario.trace.size() / 2;
   session.submit(scenario.trace.data(), half);
   const SimMetrics first = session.drain();
   EXPECT_TRUE(session.idle());
   EXPECT_EQ(first.attempted_count, static_cast<std::int64_t>(half));
+  retired.expect_every_id_once(half);  // a drain retires everything
+  EXPECT_TRUE(session.payments().empty());
 
   // Resubmission after the queue ran dry restarts the arrival chain; the
   // remaining arrivals must all lie at/after the drained clock (they do:
@@ -360,6 +364,8 @@ TEST(SimSession, ResumesAfterRunningDry) {
   EXPECT_EQ(total.attempted_count,
             static_cast<std::int64_t>(scenario.trace.size()));
   EXPECT_GT(total.completed_count, first.completed_count);
+  // Ids keep counting across the resume.
+  retired.expect_every_id_once(scenario.trace.size());
 }
 
 /// Counts every hook invocation.
@@ -372,6 +378,8 @@ class CountingObserver final : public SimObserver {
   std::int64_t settles = 0;
   std::int64_t polls = 0;
   std::int64_t rolls = 0;
+  std::int64_t retirements = 0;
+  Amount retired_delivered = 0;
   TimePoint last_time = 0;
 
   void on_payment_arrival(const Payment&, TimePoint now) override {
@@ -386,6 +394,13 @@ class CountingObserver final : public SimObserver {
   void on_payment_failed(const Payment& p, TimePoint now) override {
     ++failures;
     EXPECT_NE(p.status, PaymentStatus::kPending);
+    check(now);
+  }
+  void on_payment_retired(const Payment& p, TimePoint now) override {
+    ++retirements;
+    retired_delivered += p.delivered;
+    EXPECT_NE(p.status, PaymentStatus::kPending);
+    EXPECT_EQ(p.inflight, 0);
     check(now);
   }
   void on_chunk_locked(const Path& path, Amount amount,
@@ -435,9 +450,44 @@ TEST(SimObserverPipeline, HookCountsMatchMetrics) {
   EXPECT_EQ(counter.failures, m.expired_count + m.rejected_count);
   EXPECT_EQ(counter.locks, m.chunks_sent);
   EXPECT_EQ(counter.polls, m.retry_rounds);
+  EXPECT_EQ(counter.retirements, m.attempted_count);
+  EXPECT_EQ(counter.retired_delivered, m.delivered_volume);
   EXPECT_GT(counter.settles, 0);
   EXPECT_LE(counter.settles, counter.locks);
   EXPECT_GT(counter.rolls, 0);
+}
+
+/// Largest payments() window seen after each 1 s advance of a batch
+/// session over `payments` isp payments at 400 tx/s (default deadline).
+std::size_t peak_resident_payments(int payments) {
+  ScenarioParams params;
+  params.payments = payments;
+  params.tx_per_second = 400.0;
+  const ScenarioInstance scenario = build_scenario("isp", params);
+  const SpiderNetwork net(scenario.graph, scenario.config);
+  SimSession session = net.session(Scheme::kShortestPath, 7);
+  session.submit(scenario.trace);
+  std::size_t peak = 0;
+  for (TimePoint t = seconds(1.0); !session.idle(); t += seconds(1.0)) {
+    session.advance_until(t);
+    peak = std::max(peak, session.payments().size());
+  }
+  (void)session.drain();
+  EXPECT_TRUE(session.payments().empty());
+  return peak;
+}
+
+TEST(BoundedEngineState, PaymentWindowIsFlatInPaymentCount) {
+  // At 400 tx/s and a 5 s deadline about 2,000 payments are live at once;
+  // the window also keeps a retired prefix of up to its own size until
+  // compaction. Quadrupling the trace must not move the peak: a table
+  // that keeps every payment (or only reserves for them) grows with N.
+  const std::size_t small = peak_resident_payments(8'000);
+  const std::size_t large = peak_resident_payments(32'000);
+  SCOPED_TRACE(testing::Message() << "peaks " << small << ", " << large);
+  EXPECT_GT(small, 0u);
+  EXPECT_LE(large, small + small / 4);
+  EXPECT_LE(large, 32'000u / 4);
 }
 
 TEST(WindowedMetrics, ScriptedWindowsAndTail) {
@@ -554,6 +604,13 @@ TEST(WindowedMetrics, SteadyCompletionsAreSteadyArrivals) {
   EXPECT_GT(steady.completed, 0);
   EXPECT_LE(steady.completed, steady.attempted);
   EXPECT_LE(steady.success_ratio, 1.0);
+  // Volume is the same cohort's: each steady arrival's final delivered
+  // value, so it can neither exceed what that cohort asked for nor what
+  // the whole run delivered.
+  EXPECT_GT(steady.delivered_volume, 0);
+  EXPECT_LE(steady.delivered_volume, steady.attempted_volume);
+  EXPECT_LE(steady.delivered_volume, run.metrics.delivered_volume);
+  EXPECT_LE(steady.success_volume, 1.0);
   // Per-window ratios keep their rate meaning: completions in a window
   // over arrivals in it, whenever those payments arrived.
   std::int64_t window_completions = 0;

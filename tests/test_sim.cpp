@@ -5,6 +5,7 @@
 #include "routing/shortest_path_router.hpp"
 #include "routing/waterfilling_router.hpp"
 #include "sim/simulator.hpp"
+#include "test_support.hpp"
 #include "topology/topology.hpp"
 
 namespace spider {
@@ -183,9 +184,11 @@ TEST(Simulator, DeadlineZeroMeansConfigDefault) {
   SimConfig config;
   config.default_deadline = seconds(3.0);
   Simulator sim(net, router, config);
+  RetiredPayments retired;
+  sim.attach(retired);
   (void)sim.run({spec(1.0, 0, 1, xrp(50))});
-  ASSERT_EQ(sim.payments().size(), 1u);
-  EXPECT_EQ(sim.payments()[0].deadline, seconds(4.0));  // arrival + default
+  retired.expect_every_id_once(1);
+  EXPECT_EQ(retired.records()[0].deadline, seconds(4.0));  // arrival + default
 }
 
 TEST(Simulator, PerPaymentDeadlineOverridesDefault) {
@@ -193,9 +196,11 @@ TEST(Simulator, PerPaymentDeadlineOverridesDefault) {
   Network net(g);
   ScriptedRouter router(make_path(g, {0, 1}));
   Simulator sim(net, router, SimConfig{});
+  RetiredPayments retired;
+  sim.attach(retired);
   (void)sim.run({spec(2.0, 0, 1, xrp(50), /*deadline_s=*/1.5)});
-  ASSERT_EQ(sim.payments().size(), 1u);
-  EXPECT_EQ(sim.payments()[0].deadline, seconds(3.5));
+  retired.expect_every_id_once(1);
+  EXPECT_EQ(retired.records()[0].deadline, seconds(3.5));
 }
 
 TEST(Simulator, UnroutablePaymentExpiresCleanly) {
@@ -223,6 +228,8 @@ TEST(Simulator, ConservationHoldsThroughWholeRun) {
   router.init(net, context);
   SimConfig config;
   Simulator sim(net, router, config);
+  RetiredPayments retired;
+  sim.attach(retired);
   Rng rng(5);
   std::vector<PaymentSpec> trace;
   for (int i = 0; i < 500; ++i) {
@@ -237,7 +244,8 @@ TEST(Simulator, ConservationHoldsThroughWholeRun) {
   EXPECT_EQ(m.attempted_count, 500);
   EXPECT_GT(m.completed_count, 0);
   // No payment may deliver more than its total.
-  for (const Payment& p : sim.payments()) {
+  retired.expect_every_id_once(500);
+  for (const Payment& p : retired.records()) {
     EXPECT_LE(p.delivered, p.total);
     EXPECT_EQ(p.inflight, 0);  // everything settled or refunded by the end
   }

@@ -7,6 +7,7 @@
 #include "graph/spanning_tree.hpp"
 #include "routing/waterfilling_router.hpp"
 #include "sim/simulator.hpp"
+#include "test_support.hpp"
 #include "topology/topology.hpp"
 
 namespace spider {
@@ -79,12 +80,13 @@ std::vector<PaymentSpec> random_trace(NodeId nodes, int count,
   return trace;
 }
 
-void expect_clean_outcome(const Network& net, const Simulator& sim,
+void expect_clean_outcome(const Network& net, const RetiredPayments& retired,
                           const SimMetrics& m, Amount funds_before) {
   EXPECT_EQ(net.total_funds(), funds_before + m.onchain_deposited);
   net.check_invariants();
+  retired.expect_every_id_once(static_cast<std::size_t>(m.attempted_count));
   Amount delivered = 0;
-  for (const Payment& p : sim.payments()) {
+  for (const Payment& p : retired.records()) {
     EXPECT_EQ(p.inflight, 0);
     EXPECT_LE(p.delivered, p.total);
     EXPECT_NE(p.status, PaymentStatus::kPending);
@@ -105,9 +107,11 @@ TEST_P(ChaoticRouterFuzz, SourceModeSurvivesWildPlans) {
   SimConfig config;
   config.seed = GetParam();
   Simulator sim(net, router, config);
+  RetiredPayments retired;
+  sim.attach(retired);
   const SimMetrics m =
       sim.run(random_trace(20, 600, GetParam() * 31 + 7, xrp(400)));
-  expect_clean_outcome(net, sim, m, before);
+  expect_clean_outcome(net, retired, m, before);
   EXPECT_EQ(m.attempted_count, 600);
 }
 
@@ -123,9 +127,11 @@ TEST_P(ChaoticRouterFuzz, RouterQueueModeSurvivesWildPlans) {
   config.queue_timeout = seconds(0.7);
   config.seed = GetParam();
   Simulator sim(net, router, config);
+  RetiredPayments retired;
+  sim.attach(retired);
   const SimMetrics m =
       sim.run(random_trace(24, 500, GetParam() * 17 + 3, xrp(300)));
-  expect_clean_outcome(net, sim, m, before);
+  expect_clean_outcome(net, retired, m, before);
 }
 
 TEST_P(ChaoticRouterFuzz, RouterQueueWithRebalancingAndMtu) {
@@ -142,9 +148,11 @@ TEST_P(ChaoticRouterFuzz, RouterQueueWithRebalancingAndMtu) {
   config.rebalance_rate_xrp_per_s = 700.0;
   config.seed = GetParam();
   Simulator sim(net, router, config);
+  RetiredPayments retired;
+  sim.attach(retired);
   const SimMetrics m =
       sim.run(random_trace(18, 400, GetParam() * 13 + 1, xrp(250)));
-  expect_clean_outcome(net, sim, m, before);
+  expect_clean_outcome(net, retired, m, before);
   EXPECT_GT(m.onchain_deposited, 0);
 }
 
@@ -159,13 +167,15 @@ TEST(Soak, TwentyThousandPaymentsStayConsistent) {
   router.init(net, RouterInitContext{});
   SimConfig config;
   Simulator sim(net, router, config);
+  RetiredPayments retired;
+  sim.attach(retired);
   const auto sizes = ripple_synthetic_sizes();
   TrafficConfig traffic;
   traffic.tx_per_second = 800;
   traffic.seed = 77;
   TrafficGenerator generator(32, traffic, *sizes);
   const SimMetrics m = sim.run(generator.generate(20'000));
-  expect_clean_outcome(net, sim, m, before);
+  expect_clean_outcome(net, retired, m, before);
   EXPECT_EQ(m.attempted_count, 20'000);
   EXPECT_GT(m.success_ratio(), 0.3);
 }
@@ -181,6 +191,8 @@ TEST(Soak, BurstyArrivalsAllAtOnce) {
   SimConfig config;
   config.default_deadline = seconds(30.0);
   Simulator sim(net, router, config);
+  RetiredPayments retired;
+  sim.attach(retired);
   Rng rng(3);
   std::vector<PaymentSpec> trace;
   for (int i = 0; i < 2000; ++i) {
@@ -194,7 +206,7 @@ TEST(Soak, BurstyArrivalsAllAtOnce) {
     trace.push_back(spec);
   }
   const SimMetrics m = sim.run(trace);
-  expect_clean_outcome(net, sim, m, before);
+  expect_clean_outcome(net, retired, m, before);
   EXPECT_GT(m.success_ratio(), 0.5);
 }
 
@@ -206,13 +218,15 @@ TEST(Soak, TinyChannelsExtremeContention) {
   WaterfillingRouter router(4);
   router.init(net, RouterInitContext{});
   Simulator sim(net, router, SimConfig{});
+  RetiredPayments retired;
+  sim.attach(retired);
   const auto sizes = ripple_synthetic_sizes();
   TrafficConfig traffic;
   traffic.tx_per_second = 200;
   traffic.seed = 5;
   TrafficGenerator generator(32, traffic, *sizes);
   const SimMetrics m = sim.run(generator.generate(1000));
-  expect_clean_outcome(net, sim, m, before);
+  expect_clean_outcome(net, retired, m, before);
   EXPECT_LT(m.success_volume(), 0.1);
 }
 

@@ -83,6 +83,34 @@ inline void expect_identical_metrics(const SimMetrics& a,
                          "expectations above do not cover";
 }
 
+/// Collects every payment's final record from on_payment_retired — the
+/// whole-run view now that the engine keeps only resident payments — and
+/// checks the hook's contract as records arrive: strictly ascending ids.
+class RetiredPayments final : public SimObserver {
+ public:
+  void on_payment_retired(const Payment& payment, TimePoint) override {
+    if (!records_.empty()) {
+      EXPECT_LT(records_.back().id, payment.id)
+          << "payments retired out of id order";
+    }
+    records_.push_back(payment);
+  }
+
+  [[nodiscard]] const std::vector<Payment>& records() const {
+    return records_;
+  }
+
+  /// Ids 0 .. count-1 each retired exactly once, in ascending order.
+  void expect_every_id_once(std::size_t count) const {
+    ASSERT_EQ(records_.size(), count);
+    for (std::size_t i = 0; i < records_.size(); ++i)
+      ASSERT_EQ(records_[i].id, static_cast<PaymentId>(i));
+  }
+
+ private:
+  std::vector<Payment> records_;
+};
+
 /// `net.run(scheme, trace, seed)` without the session: the same router
 /// wiring (transport defaults for transport-dependent schemes, the shared
 /// warm path store) driven through run_simulation, i.e. Simulator::run,

@@ -329,6 +329,8 @@ TEST(SessionRelease, ReleasedPrefixKeepsMetricsAndHandlesReuse) {
       fx.net.run(Scheme::kShortestPath, fx.scenario.trace, 7);
 
   SimSession session = fx.net.session(Scheme::kShortestPath, 7);
+  RetiredPayments retired;
+  session.attach(retired);
   const auto& trace = fx.scenario.trace;
   const std::size_t half = trace.size() / 2;
   session.submit(trace.data(), half);
@@ -342,9 +344,9 @@ TEST(SessionRelease, ReleasedPrefixKeepsMetricsAndHandlesReuse) {
   const SimMetrics streamed = session.drain();
   expect_identical(batch, streamed);
   // Payment ids still index the original trace positions.
-  ASSERT_EQ(session.payments().size(), trace.size());
-  EXPECT_EQ(session.payments().front().id, 0);
-  EXPECT_EQ(session.payments().back().id,
+  retired.expect_every_id_once(trace.size());
+  EXPECT_EQ(retired.records().front().id, 0);
+  EXPECT_EQ(retired.records().back().id,
             static_cast<PaymentId>(trace.size() - 1));
 }
 
