@@ -18,6 +18,7 @@
 #include <chrono>
 #include <filesystem>
 #include <map>
+#include <unordered_map>
 
 #include "bench_common.hpp"
 #include "workload/trace_binary.hpp"
@@ -30,6 +31,7 @@
 #include "routing/path_cache.hpp"
 #include "routing/waterfilling_router.hpp"
 #include "sim/simulator.hpp"
+#include "transport/rate_controller.hpp"
 #include "transport/router_queue.hpp"
 #include "workload/traffic.hpp"
 
@@ -311,6 +313,79 @@ void BM_MapPathCacheLookup(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_MapPathCacheLookup);
+
+// ---------------------------------------------------------------------------
+// Transport-state guardrail: spider-dctcp's per-path window/pacer lookup
+// through the dense table (stamped key, flat index, states in one vector)
+// vs the std::unordered_map keyed by an FNV recomputed from the edges that
+// it replaced.
+// ---------------------------------------------------------------------------
+
+/// One admissible() read per iteration over a ripple-like candidate set
+/// larger than L2 (the 250-node, 5k-payment shape of perfbench's
+/// ripple-dctcp-replay: ~16k stored paths), visited in trace order. Arg 0
+/// = PathRateController, 1 = the replaced node-based map.
+void BM_TransportStateLookup(benchmark::State& state) {
+  ScenarioParams params;
+  params.payments = 5000;
+  params.nodes = 250;
+  const ScenarioInstance scenario = build_scenario("ripple-like", params);
+  PathCache store(scenario.graph, 4, PathSelection::kEdgeDisjoint);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (const PaymentSpec& spec : scenario.trace)
+    pairs.emplace_back(spec.src, spec.dst);
+  store.warm(pairs);
+  std::vector<const Path*> visits;
+  for (const auto& [src, dst] : pairs)
+    for (const Path& path : store.cached(src, dst)) visits.push_back(&path);
+
+  const TransportConfig config;
+  PathRateController dense(config);
+  dense.reserve(store.path_count());
+  // The replaced layout: the same per-path state behind a node-based map.
+  struct MapState {
+    AimdController window{0};
+    TokenPacer pacer{0, 0};
+    RttEstimator rtt;
+    Amount inflight = 0;
+    Amount delivered = 0;
+    std::int64_t acks = 0;
+    std::int64_t marked_acks = 0;
+    std::int64_t losses = 0;
+    std::size_t hops = 0;
+  };
+  std::unordered_map<std::uint64_t, MapState> map;
+  const auto map_admissible = [&](const Path& path, TimePoint now) {
+    auto [it, inserted] = map.try_emplace(edge_sequence_hash(path.edges));
+    MapState& s = it->second;
+    if (inserted) {
+      s.window = AimdController(config.initial_window);
+      s.pacer = TokenPacer(config.initial_window, now);
+      s.hops = path.length();
+    }
+    const Amount window = s.window.window();
+    const Amount headroom = window - s.inflight;
+    if (headroom <= 0) return Amount{0};
+    return std::min(headroom, s.pacer.allowance(
+                                  window, s.rtt.rtt(config.initial_rtt), now));
+  };
+  const bool use_map = state.range(0) != 0;
+  TimePoint now = 0;
+  for (const Path* path : visits)  // every state exists before timing
+    benchmark::DoNotOptimize(use_map ? map_admissible(*path, now)
+                                     : dense.admissible(*path, now));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Path& path = *visits[i];
+    if (++i == visits.size()) i = 0;
+    now += 1;
+    benchmark::DoNotOptimize(use_map ? map_admissible(path, now)
+                                     : dense.admissible(path, now));
+  }
+  state.counters["paths"] = static_cast<double>(store.path_count());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_TransportStateLookup)->Arg(0)->Arg(1);
 
 // ---------------------------------------------------------------------------
 // Failed-retry layers: the poll's pending order and an LP plan that finds

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -132,6 +133,12 @@ class Graph {
 struct Path {
   std::vector<NodeId> nodes;
   std::vector<EdgeId> edges;
+  /// Memo of path_hash: 0 = not computed. Stored candidate paths (the
+  /// PathCache arena, the churn delta) and the engine's chunk copies of
+  /// them carry it stamped (stamp_key), so per-path lookups on the hot path
+  /// never re-walk the edge list. Code that edits a stamped path's edges
+  /// must re-stamp or clear it.
+  std::uint64_t key = 0;
 
   [[nodiscard]] bool empty() const { return nodes.empty(); }
   /// Number of hops (edges).
@@ -145,20 +152,35 @@ struct Path {
     return nodes.back();
   }
 
-  bool operator==(const Path& other) const = default;
+  /// Content equality: the key memo is derived state and is not compared.
+  bool operator==(const Path& other) const {
+    return nodes == other.nodes && edges == other.edges;
+  }
 };
 
-/// FNV-1a over the path's edge sequence: the one key that identifies a path
-/// for the engine's retry blacklist and the transport's per-path state.
-/// Edge ids are append-only, so a key names one path for a run's lifetime.
-[[nodiscard]] inline std::uint64_t path_hash(const Path& path) {
+/// FNV-1a over an edge sequence.
+[[nodiscard]] inline std::uint64_t edge_sequence_hash(
+    std::span<const EdgeId> edges) {
   std::uint64_t h = 1469598103934665603ULL;
-  for (const EdgeId e : path.edges) {
+  for (const EdgeId e : edges) {
     h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(e));
     h *= 1099511628211ULL;
   }
   return h;
 }
+
+/// FNV-1a over the path's edge sequence: the one key that identifies a path
+/// for the engine's retry blacklist and the transport's per-path state.
+/// Edge ids are append-only, so a key names one path for a run's lifetime.
+/// Returns the stamped Path::key when set (stored paths are stamped once,
+/// when they enter the store), else hashes the edges.
+[[nodiscard]] inline std::uint64_t path_hash(const Path& path) {
+  return path.key != 0 ? path.key : edge_sequence_hash(path.edges);
+}
+
+/// Computes and stores `path`'s key memo. Paths whose hash is 0 stay
+/// unstamped and are simply rehashed on every path_hash call.
+inline void stamp_key(Path& path) { path.key = edge_sequence_hash(path.edges); }
 
 /// Builds a Path from a node sequence, resolving each consecutive pair to the
 /// lowest-id connecting edge. Requires every consecutive pair to be adjacent.

@@ -134,6 +134,8 @@ void PathCache::warm(std::span<const std::pair<NodeId, NodeId>> pairs,
           found[i] = selection_ == PathSelection::kEdgeDisjoint
                          ? search.edge_disjoint(std::move(first), k_)
                          : search.yen(std::move(first), k_);
+          // Stamped here, on the worker, while the edges are still hot.
+          for (Path& path : found[i]) stamp_key(path);
         }
       }
     } catch (...) {
@@ -158,6 +160,12 @@ void PathCache::warm(std::span<const std::pair<NodeId, NodeId>> pairs,
     std::rethrow_exception(failure);
   }
 
+  // One exact allocation for a warm from empty (no doubling copies of the
+  // arena); a lazy one-pair warm still grows it geometrically.
+  std::size_t total = arena_.size();
+  for (const std::vector<Path>& paths : found) total += paths.size();
+  if (total > arena_.capacity())
+    arena_.reserve(std::max(total, 2 * arena_.capacity()));
   for (std::size_t i = 0; i < missing.size(); ++i) {
     PairEntry& entry = slot(missing[i].first, missing[i].second);
     entry.begin = static_cast<std::uint32_t>(arena_.size());
@@ -257,6 +265,7 @@ std::span<const Path> CandidatePaths::churned_paths(
   // recomputed against the current graph into this generation's delta.
   if (all_open(base)) return base;
   delta_.push_back(compute_pair(src, dst));
+  for (Path& path : delta_.back()) stamp_key(path);
   const std::vector<Path>& stored = delta_.back();
   return {stored.data(), stored.size()};
 }

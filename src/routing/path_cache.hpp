@@ -19,7 +19,9 @@
 // per source (BFS discovery order is fixed, so these are exactly the
 // parents a per-pair search would find); the remaining paths come from the
 // shared BFS kernel under a blocked-edge mask. A lazy miss in `paths` is a
-// one-pair warm, so there is one computation path.
+// one-pair warm, so there is one computation path. Each worker stamps its
+// paths' Path::key (graph/graph.hpp) as it finds them, so every stored path
+// carries its path_hash and per-path consumers never rehash its edges.
 //
 // Thread-safety: const lookups (`cached`, `contains`) may run concurrently
 // from any number of threads. `warm` is internally parallel — sources are
@@ -197,7 +199,8 @@ class CandidatePaths {
   /// beyond — the same split the path store itself makes.
   std::vector<std::uint64_t> memo_;
   std::unordered_map<std::uint64_t, std::uint64_t> sparse_memo_;
-  std::vector<std::vector<Path>> delta_;  // recomputed pairs, this gen only
+  std::vector<std::vector<Path>> delta_;  // recomputed pairs, this gen only;
+                                          // keys stamped like the arena's
 };
 
 }  // namespace spider

@@ -332,6 +332,7 @@ std::size_t Simulator::new_chunk(const Path& path, Amount amount,
   InflightChunk& chunk = inflight_[ci];
   chunk.path.nodes.assign(path.nodes.begin(), path.nodes.end());
   chunk.path.edges.assign(path.edges.begin(), path.edges.end());
+  chunk.path.key = path.key;
   chunk.amount = amount;
   chunk.payment = payment_index;
   chunk.hops_locked = 0;
@@ -350,6 +351,7 @@ void Simulator::release_chunk_slot(std::size_t chunk_index) {
   SPIDER_ASSERT(!chunk.queued);
   chunk.path.nodes.clear();  // keeps capacity: the buffers are pooled
   chunk.path.edges.clear();
+  chunk.path.key = 0;
   chunk.amount = 0;
   chunk.hops_locked = 0;
   chunk.stamp = 0;  // stamps start at 1: stale events can never match

@@ -216,6 +216,16 @@ class Simulator {
     return payments_;
   }
 
+  /// Pooled chunk slots, live and released, for tests: a live slot holds
+  /// its chunk's copy of the planned path (key included); a released one
+  /// an empty path with key 0.
+  [[nodiscard]] std::size_t chunk_slot_count() const {
+    return inflight_.size();
+  }
+  [[nodiscard]] const Path& chunk_slot_path(std::size_t slot) const {
+    return inflight_[slot].path;
+  }
+
   /// Payments with a live fault blacklist (paths that dropped or griefed
   /// one of their units). Entries go with their payment at retirement, so
   /// a drained run holds none.

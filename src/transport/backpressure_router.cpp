@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "transport/greedy_plan.hpp"
-
 namespace spider {
 
 BackpressureRouter::BackpressureRouter(int num_paths, PathSelection selection)
@@ -51,7 +49,7 @@ std::vector<ChunkPlan> BackpressureRouter::plan(const Payment& payment,
   });
 
   return plan_greedy(paths, order, amount, network, queues_ != nullptr,
-                     virtual_balances_);
+                     scratch_);
 }
 
 }  // namespace spider

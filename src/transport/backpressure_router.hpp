@@ -25,6 +25,7 @@
 
 #include "routing/path_cache.hpp"
 #include "routing/router.hpp"
+#include "transport/greedy_plan.hpp"
 #include "transport/router_queue.hpp"
 
 namespace spider {
@@ -58,7 +59,7 @@ class BackpressureRouter final : public Router {
   int num_paths_;
   PathSelection selection_;
   CandidatePaths paths_;
-  VirtualBalances virtual_balances_;
+  GreedyPlanScratch scratch_;
   const RouterQueueBank* queues_ = nullptr;
 };
 

@@ -1,7 +1,5 @@
 #include "transport/dctcp_router.hpp"
 
-#include "transport/greedy_plan.hpp"
-
 namespace spider {
 
 SpiderDctcpRouter::SpiderDctcpRouter(int num_paths, PathSelection selection,
@@ -13,6 +11,10 @@ SpiderDctcpRouter::SpiderDctcpRouter(int num_paths, PathSelection selection,
 void SpiderDctcpRouter::init(const Network& network,
                              const RouterInitContext& context) {
   paths_.init(network.graph(), num_paths_, selection_, context.shared_paths);
+  // Every path a plan can visit is a stored one, so the shared store's
+  // size bounds the distinct paths the controller sees (without churn).
+  if (context.shared_paths != nullptr)
+    controller_.reserve(context.shared_paths->path_count());
 }
 
 std::vector<ChunkPlan> SpiderDctcpRouter::plan(const Payment& payment,
@@ -30,7 +32,7 @@ std::vector<ChunkPlan> SpiderDctcpRouter::plan(const Payment& payment,
   // paper's control loop, which whole-path clamping would short-circuit (a
   // perfectly clamped sender never queues, so nothing is ever marked).
   return plan_greedy(paths, {}, amount, network, queues_ != nullptr,
-                     virtual_balances_, [&](const Path& p) {
+                     scratch_, [&](const Path& p) {
                        return controller_.admissible(p, now_);
                      });
 }

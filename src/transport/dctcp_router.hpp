@@ -20,6 +20,7 @@
 
 #include "routing/path_cache.hpp"
 #include "routing/router.hpp"
+#include "transport/greedy_plan.hpp"
 #include "transport/rate_controller.hpp"
 
 namespace spider {
@@ -62,7 +63,7 @@ class SpiderDctcpRouter final : public Router {
   PathSelection selection_;
   CandidatePaths paths_;  // shared warmed store when available, else lazy
   PathRateController controller_;
-  VirtualBalances virtual_balances_;  // reattached per plan(); O(1) reset
+  GreedyPlanScratch scratch_;  // reused by every plan(); O(1) reset
   const RouterQueueBank* queues_ = nullptr;  // non-null in router-queue mode
   TimePoint now_ = 0;  // last on_transport_clock observation
 };

@@ -6,12 +6,53 @@
 
 namespace spider {
 
+namespace {
+
+constexpr std::size_t kMinIndex = 16;
+
+}  // namespace
+
+void PathRateController::reserve(std::size_t paths) {
+  states_.reserve(paths);
+  std::size_t capacity = kMinIndex;
+  while (capacity < 2 * paths) capacity *= 2;
+  if (capacity > index_.size()) rehash(capacity);
+}
+
+std::size_t PathRateController::probe(std::uint64_t key) const {
+  const std::size_t mask = index_.size() - 1;
+  // Multiplicative (Fibonacci) hashing: FNV-1a's low bits depend only on
+  // the edge ids' low bits, while the product's middle bits mix them all.
+  std::size_t i =
+      static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> 32) & mask;
+  const std::uint32_t tag = tag_of(key);
+  for (;; i = (i + 1) & mask) {
+    const IndexEntry& entry = index_[i];
+    if (entry.slot == kEmpty) return i;
+    if (entry.tag == tag && states_[entry.slot].key == key) return i;
+  }
+}
+
+void PathRateController::rehash(std::size_t capacity) {
+  index_.assign(capacity, IndexEntry{});
+  for (std::uint32_t s = 0; s < states_.size(); ++s)
+    index_[probe(states_[s].key)] = {tag_of(states_[s].key), s};
+}
+
 PathRateController::PathState& PathRateController::state(const Path& path,
                                                          TimePoint now) {
-  auto [it, inserted] =
-      paths_.try_emplace(path_hash(path), config_, path.length(), now);
-  (void)inserted;
-  return it->second;
+  const std::uint64_t key = path_hash(path);
+  if (index_.empty()) rehash(kMinIndex);
+  std::size_t i = probe(key);
+  if (index_[i].slot != kEmpty) return states_[index_[i].slot];
+  // Load factor <= 1/2 keeps probe runs short.
+  if (2 * (states_.size() + 1) > index_.size()) {
+    rehash(2 * index_.size());
+    i = probe(key);
+  }
+  SPIDER_ASSERT(states_.size() < kEmpty);
+  index_[i] = {tag_of(key), static_cast<std::uint32_t>(states_.size())};
+  return states_.emplace_back(config_, key, path.length(), now);
 }
 
 Amount PathRateController::admissible(const Path& path, TimePoint now) {
@@ -62,12 +103,10 @@ void PathRateController::on_loss(const Path& path, Amount amount,
 std::vector<PathRateController::PathView> PathRateController::snapshot()
     const {
   std::vector<PathView> out;
-  out.reserve(paths_.size());
-  // spider-lint: allow(determinism-surface) reporting-only walk; the
-  // result is sorted by key two lines down, so hash order never escapes.
-  for (const auto& [key, s] : paths_) {
+  out.reserve(states_.size());
+  for (const PathState& s : states_) {
     PathView v;
-    v.key = key;
+    v.key = s.key;
     v.hops = s.hops;
     v.window = s.window.window();
     v.inflight = s.inflight;
@@ -85,8 +124,10 @@ std::vector<PathRateController::PathView> PathRateController::snapshot()
 }
 
 Amount PathRateController::window_for(const Path& path) const {
-  auto it = paths_.find(path_hash(path));
-  return it == paths_.end() ? config_.initial_window : it->second.window.window();
+  if (index_.empty()) return config_.initial_window;
+  const IndexEntry& entry = index_[probe(path_hash(path))];
+  return entry.slot == kEmpty ? config_.initial_window
+                              : states_[entry.slot].window.window();
 }
 
 }  // namespace spider

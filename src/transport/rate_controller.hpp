@@ -14,6 +14,13 @@
 // AimdController owns the window update rule. PathRateController composes
 // the three per path, keyed by path_hash (graph/graph.hpp).
 //
+// The per-path states are dense: one vector in first-seen order behind a
+// flat open-addressing index (power-of-two slots, linear probing) from key
+// to slot. The key is the path's stamped Path::key — stored candidate
+// paths and the engine's chunk copies carry it — so a lookup on the plan
+// and ack hot paths is one multiply and a short probe, with no edge walk,
+// no node allocation and no rehash once reserve() has sized the table.
+//
 // Everything here is integer arithmetic over the engine's microsecond clock
 // and milli-XRP amounts — no floating-point state, no randomness — so the
 // controller is bit-deterministic and safe inside the streamed==batch
@@ -21,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -117,6 +123,11 @@ class PathRateController {
   explicit PathRateController(const TransportConfig& config)
       : config_(config) {}
 
+  /// Sizes the state table for `paths` distinct paths (the router passes
+  /// the shared store's path_count()), so a run that sees no more than
+  /// that never reallocates or rehashes. The table still grows past it.
+  void reserve(std::size_t paths);
+
   /// New value the path may carry now: min(window − inflight, pacer credit).
   [[nodiscard]] Amount admissible(const Path& path, TimePoint now);
 
@@ -142,16 +153,18 @@ class PathRateController {
   /// Current window of `path` (the initial window if never seen).
   [[nodiscard]] Amount window_for(const Path& path) const;
   [[nodiscard]] Amount total_inflight() const { return total_inflight_; }
-  [[nodiscard]] std::size_t num_paths() const { return paths_.size(); }
+  [[nodiscard]] std::size_t num_paths() const { return states_.size(); }
   [[nodiscard]] const TransportConfig& config() const { return config_; }
 
  private:
   struct PathState {
-    PathState(const TransportConfig& config, std::size_t path_hops,
-              TimePoint now)
-        : window(config.initial_window),
+    PathState(const TransportConfig& config, std::uint64_t path_key,
+              std::size_t path_hops, TimePoint now)
+        : key(path_key),
+          window(config.initial_window),
           pacer(config.initial_window, now),
           hops(path_hops) {}
+    std::uint64_t key;
     AimdController window;
     TokenPacer pacer;
     RttEstimator rtt;
@@ -163,10 +176,26 @@ class PathRateController {
     std::size_t hops = 0;
   };
 
+  /// One index entry: the key's high half (a fingerprint that skips most
+  /// foreign entries without touching states_) and the state's position.
+  struct IndexEntry {
+    std::uint32_t tag = 0;
+    std::uint32_t slot = kEmpty;
+  };
+  static constexpr std::uint32_t kEmpty = UINT32_MAX;
+  [[nodiscard]] static std::uint32_t tag_of(std::uint64_t key) {
+    return static_cast<std::uint32_t>(key >> 32);
+  }
+
   PathState& state(const Path& path, TimePoint now);
+  /// The index entry holding `key`, or the empty entry where it would go.
+  [[nodiscard]] std::size_t probe(std::uint64_t key) const;
+  /// Rebuilds the index with `capacity` (a power of two) entries.
+  void rehash(std::size_t capacity);
 
   TransportConfig config_;
-  std::unordered_map<std::uint64_t, PathState> paths_;
+  std::vector<PathState> states_;  // first-seen order
+  std::vector<IndexEntry> index_;  // empty until the first lookup or reserve
   Amount total_inflight_ = 0;
 };
 

@@ -4,7 +4,8 @@
 // mix (fixed-delay kinds plus a jittered one whose heap pushes tie lane heads
 // on time), across reset() and lane growth. The flat path store must return
 // byte-identical paths to a direct Yen / edge-disjoint computation
-// (including prefix stability for shared stores), and the pooled chunk
+// (including prefix stability for shared stores) with every stored path's
+// key stamped as the hash of its edges, and the pooled chunk
 // lifecycle + shared path store must leave fixed-seed simulator metrics
 // bit-identical run over run.
 #include <gtest/gtest.h>
@@ -23,9 +24,11 @@
 #include "routing/shortest_path_router.hpp"
 #include "routing/waterfilling_router.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/observer.hpp"
 #include "sim/simulator.hpp"
 #include "test_support.hpp"
 #include "topology/topology.hpp"
+#include "transport/dctcp_router.hpp"
 #include "util/random.hpp"
 
 namespace spider {
@@ -455,6 +458,128 @@ TEST(FlatPathStore, FailedWarmLeavesStoreUnchanged) {
   store.warm(std::span(pairs).first(2), 2);
   EXPECT_EQ(store.pair_count(), 2u);
   EXPECT_EQ(store.cached(1, 4).size(), 2u);
+}
+
+/// Every path in `paths` carries a stamped key equal to the hash of its
+/// edges, recomputed here from scratch.
+void expect_stamped(std::span<const Path> paths, const std::string& label) {
+  for (const Path& path : paths) {
+    EXPECT_NE(path.key, 0u) << label;
+    EXPECT_EQ(path.key, edge_sequence_hash(path.edges)) << label;
+  }
+}
+
+TEST(FlatPathStore, WarmAndChurnDeltaStampEveryStoredPathKey) {
+  Graph graph = with_isolated_and_pendant(ripple_like_topology(90, xrp(100)));
+  Rng rng(11);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (int i = 0; i < 400; ++i)
+    pairs.emplace_back(static_cast<NodeId>(rng.uniform_int(0, 89)),
+                       static_cast<NodeId>(rng.uniform_int(0, 89)));
+  pairs = awkward_pairs(std::move(pairs), graph.num_nodes());
+  for (const PathSelection selection :
+       {PathSelection::kEdgeDisjoint, PathSelection::kYen}) {
+    const std::string label = path_selection_name(selection);
+    PathCache serial(graph, 4, selection);
+    serial.warm(pairs, 1);
+    PathCache store(graph, 4, selection);
+    store.warm(pairs, 4);  // stamped on the worker threads
+    ASSERT_GT(store.path_count(), 0u);
+    for (const auto& [src, dst] : pairs) {
+      const std::span<const Path> a = serial.cached(src, dst);
+      const std::span<const Path> b = store.cached(src, dst);
+      expect_stamped(b, label);
+      ASSERT_EQ(a.size(), b.size()) << label;
+      for (std::size_t i = 0; i < a.size(); ++i)
+        EXPECT_EQ(a[i].key, b[i].key) << label;
+    }
+    // A lazy miss is a one-pair warm: stamped the same way.
+    PathCache lazy(graph, 4, selection);
+    expect_stamped(lazy.paths(pairs.front().first, pairs.front().second),
+                   label + " lazy");
+  }
+
+  // Churn: close one channel that some stored path crosses; the pairs
+  // recomputed into the generation's delta are stamped too.
+  PathCache store(graph, 4, PathSelection::kEdgeDisjoint);
+  store.warm(pairs, 2);
+  CandidatePaths candidates;
+  candidates.init(graph, 4, PathSelection::kEdgeDisjoint, &store);
+  const auto [src0, dst0] = pairs.front();
+  ASSERT_FALSE(store.cached(src0, dst0).empty());
+  graph.close_edge(store.cached(src0, dst0).front().edges.front());
+  candidates.sync(1);
+  std::size_t recomputed = 0;
+  for (const auto& [src, dst] : pairs) {
+    const std::span<const Path> paths = candidates.paths(src, dst);
+    expect_stamped(paths, "delta");
+    if (!paths.empty() && paths.data() != store.cached(src, dst).data())
+      ++recomputed;
+  }
+  EXPECT_GT(recomputed, 0u);
+}
+
+/// Checks each locked chunk's path copy against the shared store it was
+/// planned from: same content, same stamped key.
+class ChunkKeyProbe final : public SimObserver {
+ public:
+  explicit ChunkKeyProbe(const PathCache& store) : store_(&store) {}
+  void on_chunk_locked(const Path& path, Amount, TimePoint) override {
+    ++locked;
+    EXPECT_EQ(path.key, edge_sequence_hash(path.edges));
+    const std::span<const Path> stored =
+        store_->cached(path.source(), path.destination());
+    const auto it = std::find(stored.begin(), stored.end(), path);
+    ASSERT_NE(it, stored.end());
+    EXPECT_NE(it->key, 0u);
+    EXPECT_EQ(path.key, it->key);
+  }
+  std::int64_t locked = 0;
+
+ private:
+  const PathCache* store_;
+};
+
+TEST(FlatPathStore, ChunkCopiesCarryTheKeyAndReleasedSlotsClearIt) {
+  ScenarioParams params;
+  params.payments = 300;
+  params.nodes = 80;
+  const ScenarioInstance scenario = build_scenario("ripple-like", params);
+  PathCache store(scenario.graph, 4, PathSelection::kEdgeDisjoint);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (const PaymentSpec& spec : scenario.trace)
+    pairs.emplace_back(spec.src, spec.dst);
+  store.warm(pairs, 2);
+
+  SimConfig config = scenario.config.sim;
+  config.transport.enabled = true;
+  config.queueing = QueueingMode::kRouterQueue;
+  Network network(scenario.graph);
+  SpiderDctcpRouter router(4);
+  init_router_for_run(router, network, config, &scenario.trace, &store);
+  Simulator sim(network, router, config);
+  ChunkKeyProbe probe(store);
+  sim.attach(probe);
+  const SimMetrics metrics = sim.run(scenario.trace);
+  EXPECT_GT(probe.locked, 0);
+  EXPECT_EQ(probe.locked, metrics.chunks_sent);
+  // drain() released every chunk: each pooled slot is empty and unkeyed.
+  ASSERT_GT(sim.chunk_slot_count(), 0u);
+  for (std::size_t slot = 0; slot < sim.chunk_slot_count(); ++slot) {
+    EXPECT_TRUE(sim.chunk_slot_path(slot).empty());
+    EXPECT_EQ(sim.chunk_slot_path(slot).key, 0u);
+  }
+}
+
+TEST(FlatPathStore, PathEqualityIgnoresTheKeyMemo) {
+  const Graph graph = ring_topology(6, xrp(10));
+  Path stamped = make_path(graph, {0, 1, 2});
+  const Path plain = stamped;
+  stamp_key(stamped);
+  ASSERT_NE(stamped.key, plain.key);
+  EXPECT_EQ(stamped, plain);
+  EXPECT_EQ(path_hash(stamped), path_hash(plain));
+  EXPECT_NE(stamped, make_path(graph, {0, 1}));
 }
 
 TEST(TrafficGenerator, NeverEmitsSelfPairs) {

@@ -1,14 +1,19 @@
-// Transport-layer gates (src/transport/): controller unit behaviour,
-// transport-off byte identity with the pre-transport engine, streamed ==
-// batch with the transport ON across both queue modes and both new schemes,
-// AIMD convergence on a two-path dumbbell, and mark/ack ordering under
-// fault-injected loss.
+// Transport-layer gates (src/transport/): controller unit behaviour, the
+// dense per-path table against an ordered-map reference, backpressure's
+// reused plan scratch against fresh overlays, transport-off byte identity
+// with the pre-transport engine, streamed == batch with the transport ON
+// across both queue modes and both new schemes, AIMD convergence on a
+// two-path dumbbell, and mark/ack ordering under fault-injected loss.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <numeric>
+#include <span>
 
 #include "spider.hpp"
 #include "test_support.hpp"
+#include "transport/backpressure_router.hpp"
 #include "transport/dctcp_router.hpp"
 #include "transport/rate_controller.hpp"
 #include "transport/router_queue.hpp"
@@ -114,6 +119,296 @@ TEST(Transport, PathControllerTracksInflightAndWindows) {
   EXPECT_EQ(views[0].delivered, xrp(50));
   EXPECT_EQ(views[0].hops, 2u);
   EXPECT_GT(views[0].rate_xrp_per_s, 0.0);
+}
+
+// --- Dense controller table vs the ordered-map reference -----------------
+
+/// The controller as it was kept before the dense table: one std::map from
+/// path_hash (recomputed from the edges) to the same per-path state, with
+/// the same admissible/send/ack/loss rules.
+class ReferenceController {
+ public:
+  explicit ReferenceController(const TransportConfig& config)
+      : config_(config) {}
+
+  Amount admissible(const Path& path, TimePoint now) {
+    State& s = state(path, now);
+    const Amount window = s.window.window();
+    const Amount headroom = window - s.inflight;
+    if (headroom <= 0) return 0;
+    const Duration rtt = s.rtt.rtt(config_.initial_rtt);
+    return std::min(headroom, s.pacer.allowance(window, rtt, now));
+  }
+  void on_send(const Path& path, Amount amount, TimePoint now) {
+    State& s = state(path, now);
+    s.inflight += amount;
+    total_inflight_ += amount;
+    s.pacer.spend(amount);
+  }
+  void on_ack(const Path& path, Amount amount, bool marked, Duration rtt,
+              TimePoint now) {
+    State& s = state(path, now);
+    s.inflight -= amount;
+    total_inflight_ -= amount;
+    s.delivered += amount;
+    s.acks += 1;
+    s.rtt.update(rtt);
+    if (marked) {
+      s.marked_acks += 1;
+      s.window.on_negative(amount, config_);
+    } else {
+      s.window.on_positive(amount, config_);
+    }
+  }
+  void on_loss(const Path& path, Amount amount, TimePoint now) {
+    State& s = state(path, now);
+    s.inflight -= amount;
+    total_inflight_ -= amount;
+    s.losses += 1;
+    s.window.on_negative(amount, config_);
+  }
+  [[nodiscard]] Amount window_for(const Path& path) const {
+    const auto it = states_.find(edge_sequence_hash(path.edges));
+    return it == states_.end() ? config_.initial_window
+                               : it->second.window.window();
+  }
+  [[nodiscard]] Amount total_inflight() const { return total_inflight_; }
+  [[nodiscard]] std::vector<PathRateController::PathView> snapshot() const {
+    std::vector<PathRateController::PathView> out;
+    for (const auto& [key, s] : states_) {
+      PathRateController::PathView v;
+      v.key = key;
+      v.hops = s.hops;
+      v.window = s.window.window();
+      v.inflight = s.inflight;
+      const double rtt_s = to_seconds(s.rtt.rtt(config_.initial_rtt));
+      v.rate_xrp_per_s = rtt_s > 0.0 ? to_xrp(v.window) / rtt_s : 0.0;
+      v.delivered = s.delivered;
+      v.acks = s.acks;
+      v.marked_acks = s.marked_acks;
+      v.losses = s.losses;
+      out.push_back(v);
+    }
+    return out;
+  }
+
+ private:
+  struct State {
+    State(const TransportConfig& config, std::size_t path_hops, TimePoint now)
+        : window(config.initial_window),
+          pacer(config.initial_window, now),
+          hops(path_hops) {}
+    AimdController window;
+    TokenPacer pacer;
+    RttEstimator rtt;
+    Amount inflight = 0;
+    Amount delivered = 0;
+    std::int64_t acks = 0;
+    std::int64_t marked_acks = 0;
+    std::int64_t losses = 0;
+    std::size_t hops = 0;
+  };
+  State& state(const Path& path, TimePoint now) {
+    return states_
+        .try_emplace(edge_sequence_hash(path.edges), config_, path.length(),
+                     now)
+        .first->second;
+  }
+
+  TransportConfig config_;
+  std::map<std::uint64_t, State> states_;
+  Amount total_inflight_ = 0;
+};
+
+void expect_same_views(const std::vector<PathRateController::PathView>& a,
+                       const std::vector<PathRateController::PathView>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].key, b[i].key);
+    EXPECT_EQ(a[i].hops, b[i].hops);
+    EXPECT_EQ(a[i].window, b[i].window);
+    EXPECT_EQ(a[i].inflight, b[i].inflight);
+    EXPECT_EQ(a[i].rate_xrp_per_s, b[i].rate_xrp_per_s);
+    EXPECT_EQ(a[i].delivered, b[i].delivered);
+    EXPECT_EQ(a[i].acks, b[i].acks);
+    EXPECT_EQ(a[i].marked_acks, b[i].marked_acks);
+    EXPECT_EQ(a[i].losses, b[i].losses);
+  }
+}
+
+TEST(Transport, DenseControllerMatchesOrderedMapReference) {
+  // Stamped store paths plus unstamped copies of the same paths (which
+  // must land on the same state), many more of them than the size hint,
+  // so the index grows several times mid-sequence.
+  const Graph graph = ripple_like_topology(70, xrp(100));
+  PathCache store(graph, 4, PathSelection::kEdgeDisjoint);
+  Rng rng(21);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (int i = 0; i < 120; ++i)
+    pairs.emplace_back(static_cast<NodeId>(rng.uniform_int(0, 69)),
+                       static_cast<NodeId>(rng.uniform_int(0, 69)));
+  store.warm(pairs, 2);
+  std::vector<Path> paths;
+  for (const auto& [src, dst] : pairs)
+    for (const Path& stored : store.cached(src, dst)) {
+      paths.push_back(stored);
+      Path plain = stored;
+      plain.key = 0;
+      paths.push_back(std::move(plain));
+    }
+  ASSERT_GT(paths.size(), 300u);
+
+  TransportConfig config;
+  config.initial_window = xrp(20);
+  PathRateController dense(config);
+  dense.reserve(12);
+  ReferenceController reference(config);
+
+  struct Outstanding {
+    std::size_t path;
+    Amount amount;
+    TimePoint sent_at;
+  };
+  std::vector<Outstanding> outstanding;
+  TimePoint now = 0;
+  for (int step = 0; step < 20000; ++step) {
+    now += milliseconds(rng.uniform_int(0, 40));
+    const auto pick = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(paths.size()) - 1));
+    const Path& path = paths[pick];
+    const int op = static_cast<int>(rng.uniform_int(0, 9));
+    if (op < 4) {
+      const Amount allowed = dense.admissible(path, now);
+      ASSERT_EQ(allowed, reference.admissible(path, now)) << step;
+      if (allowed > 0 && op < 3) {
+        const Amount amount = 1 + rng.uniform_int(0, allowed - 1);
+        dense.on_send(path, amount, now);
+        reference.on_send(path, amount, now);
+        outstanding.push_back({pick, amount, now});
+      }
+    } else if (!outstanding.empty() && op < 9) {
+      const auto at = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(outstanding.size()) - 1));
+      const Outstanding unit = outstanding[at];
+      outstanding[at] = outstanding.back();
+      outstanding.pop_back();
+      const Path& sent = paths[unit.path];
+      if (op < 8) {
+        const bool marked = rng.uniform_int(0, 3) == 0;
+        dense.on_ack(sent, unit.amount, marked, now - unit.sent_at, now);
+        reference.on_ack(sent, unit.amount, marked, now - unit.sent_at, now);
+      } else {
+        dense.on_loss(sent, unit.amount, now);
+        reference.on_loss(sent, unit.amount, now);
+      }
+    }
+    ASSERT_EQ(dense.total_inflight(), reference.total_inflight()) << step;
+    ASSERT_EQ(dense.window_for(path), reference.window_for(path)) << step;
+    if (step % 2500 == 0)
+      expect_same_views(dense.snapshot(), reference.snapshot());
+  }
+  expect_same_views(dense.snapshot(), reference.snapshot());
+  EXPECT_GT(dense.num_paths(), 12u * 8);
+  // A path never offered reads the initial window.
+  Graph other(3);
+  other.add_edge(0, 1, xrp(1));
+  other.add_edge(1, 2, xrp(1));
+  const Path unseen = make_path(other, {0, 1, 2});
+  EXPECT_EQ(dense.window_for(unseen), reference.window_for(unseen));
+}
+
+/// The greedy release as it was before the caller-owned scratch: fresh
+/// first-hop and balance overlays on every plan.
+std::vector<ChunkPlan> reference_greedy(std::span<const Path> paths,
+                                        std::span<const std::size_t> order,
+                                        Amount amount, const Network& network,
+                                        bool first_hop_only) {
+  struct FirstHopUse {
+    EdgeId edge;
+    int side;
+    Amount used;
+  };
+  std::vector<FirstHopUse> first_hops;
+  VirtualBalances balances(network);
+  std::vector<ChunkPlan> chunks;
+  Amount left = amount;
+  for (std::size_t i = 0; i < order.size() && left > 0; ++i) {
+    const Path& p = paths[order[i]];
+    Amount sendable = 0;
+    if (first_hop_only) {
+      const EdgeId e = p.edges.front();
+      const Channel& ch = network.channel(e);
+      const int side = ch.side_of(p.nodes.front());
+      Amount avail = ch.balance(side);
+      for (const FirstHopUse& u : first_hops)
+        if (u.edge == e && u.side == side) avail -= u.used;
+      sendable = std::min(left, avail);
+      if (sendable <= 0) continue;
+      first_hops.push_back({e, side, sendable});
+    } else {
+      sendable = std::min(left, balances.path_bottleneck(p));
+      if (sendable <= 0) continue;
+      balances.use(p, sendable);
+    }
+    chunks.push_back(ChunkPlan{&p, sendable});
+    left -= sendable;
+  }
+  return chunks;
+}
+
+TEST(Transport, BackpressurePlansMatchFreshScratchReference) {
+  // Backpressure shares plan_greedy with spider-dctcp: plans from the
+  // router's reused scratch equal a fresh-overlay greedy over the same
+  // backlog order, in both queue modes, on drained and backlogged channels.
+  const Graph graph = ripple_like_topology(60, xrp(40));
+  Network network(graph);
+  Rng rng(5);
+  for (EdgeId e = 0; e < graph.num_edges(); e += 3) {
+    const int side = static_cast<int>(rng.uniform_int(0, 1));
+    network.lock_one(e, side, network.channel(e).balance(side) / 2);
+  }
+  RouterQueueBank bank;
+  bank.begin(static_cast<std::size_t>(graph.num_edges()), milliseconds(40));
+  for (EdgeId e = 0; e < graph.num_edges(); e += 2)
+    bank.on_enqueue(static_cast<std::size_t>(e),
+                    static_cast<int>(rng.uniform_int(0, 1)),
+                    xrp(rng.uniform_int(1, 30)));
+  PathCache store(graph, 4, PathSelection::kEdgeDisjoint);
+  for (const bool router_queues : {false, true}) {
+    SCOPED_TRACE(router_queues ? "router" : "source");
+    BackpressureRouter router(4);
+    router.init(network, RouterInitContext{});
+    router.bind_transport(router_queues ? &bank : nullptr);
+    std::int64_t planned = 0;
+    for (int i = 0; i < 400; ++i) {
+      Payment payment;
+      payment.src = static_cast<NodeId>(rng.uniform_int(0, 59));
+      payment.dst = static_cast<NodeId>(rng.uniform_int(0, 59));
+      if (payment.src == payment.dst) continue;
+      const Amount amount = xrp(rng.uniform_int(1, 120));
+      const std::vector<ChunkPlan> got =
+          router.plan(payment, amount, network, rng);
+      const std::span<const Path> paths = store.paths(payment.src, payment.dst);
+      std::vector<std::size_t> order(paths.size());
+      std::iota(order.begin(), order.end(), 0);
+      std::vector<Amount> backlog(paths.size());
+      for (std::size_t p = 0; p < paths.size(); ++p)
+        backlog[p] = router.path_backlog(paths[p], network);
+      std::stable_sort(order.begin(), order.end(),
+                       [&](std::size_t a, std::size_t b) {
+                         return backlog[a] < backlog[b];
+                       });
+      const std::vector<ChunkPlan> want =
+          reference_greedy(paths, order, amount, network, router_queues);
+      ASSERT_EQ(got.size(), want.size()) << i;
+      for (std::size_t c = 0; c < got.size(); ++c) {
+        EXPECT_EQ(*got[c].path, *want[c].path) << i;
+        EXPECT_EQ(got[c].amount, want[c].amount) << i;
+      }
+      planned += static_cast<std::int64_t>(got.size());
+    }
+    EXPECT_GT(planned, 100);
+  }
 }
 
 // --- Transport off: byte-identical to the pre-transport engine ----------
