@@ -251,7 +251,7 @@ void BM_EventQueueFixedDelayMix(benchmark::State& state) {
 BENCHMARK(BM_EventQueueFixedDelayMix)->Arg(0)->Arg(EventQueue::kMaxLanes);
 
 // ---------------------------------------------------------------------------
-// Path-store guardrail: flat dense-index lookup vs the replaced std::map.
+// Path-store guardrail: flat-index lookup vs the replaced std::map.
 // ---------------------------------------------------------------------------
 
 void BM_FlatPathStoreLookup(benchmark::State& state) {

@@ -121,8 +121,8 @@ void SpiderConfig::validate() const {
     throw std::invalid_argument("SpiderConfig: num_trees must be >= 1");
   if (lp_max_pairs < 0)
     throw std::invalid_argument("SpiderConfig: lp_max_pairs must be >= 0");
-  if (primal_dual.num_paths < 1 || primal_dual.steps_per_tick < 1 ||
-      primal_dual.warmup_steps < 0 || primal_dual.bucket_depth <= 0)
+  if (primal_dual.steps_per_tick < 1 || primal_dual.warmup_steps < 0 ||
+      primal_dual.bucket_depth <= 0)
     throw std::invalid_argument("SpiderConfig: bad primal-dual settings");
   if (sim.transport.mark_threshold <= 0)
     throw std::invalid_argument(
@@ -166,11 +166,9 @@ std::unique_ptr<Router> make_base_router(Scheme scheme,
     case Scheme::kSpeedyMurmurs:
       return std::make_unique<SpeedyMurmursRouter>(config.num_trees,
                                                    config.sim.seed ^ 0x5eedULL);
-    case Scheme::kSpiderPrimalDual: {
-      PrimalDualRouterConfig pd = config.primal_dual;
-      pd.num_paths = config.num_paths;
-      return std::make_unique<PrimalDualRouter>(pd);
-    }
+    case Scheme::kSpiderPrimalDual:
+      return std::make_unique<PrimalDualRouter>(config.num_paths,
+                                                config.primal_dual);
     case Scheme::kSpiderDctcp:
       return std::make_unique<SpiderDctcpRouter>(config.num_paths,
                                                  config.path_selection,

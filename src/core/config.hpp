@@ -53,8 +53,8 @@ enum class Scheme {
 /// True if `scheme`'s router consumes the shared candidate-path store
 /// (RouterInitContext::shared_paths) — the schemes that plan over cached
 /// Yen / edge-disjoint candidates. SpiderNetwork::run only pays the warm
-/// pass for these; the rest (max-flow, embeddings, landmarks, LP) compute
-/// their own routes and would never read the store.
+/// pass for these; the rest (max-flow, embeddings, landmarks, LP,
+/// primal-dual) compute their own routes and would never read the store.
 [[nodiscard]] bool scheme_uses_path_store(Scheme scheme);
 
 struct SpiderConfig {

@@ -47,8 +47,8 @@ ScenarioParams ScenarioParams::from_env() {
 
 namespace {
 
-/// Spider (LP) pair cap of the Ripple-scale scenarios: the dense offline
-/// simplex cannot model their demand-pair counts in full.
+/// Spider (LP) pair cap of the Ripple-scale scenarios: uncapped, their LP
+/// misses the `payments griefing Spider-(LP)` floor (ROADMAP item 1).
 constexpr int kRippleScaleLpPairs = 900;
 
 /// Per-scenario defaults that ScenarioParams' zero-values fall back to.

@@ -182,6 +182,12 @@ struct Path {
 /// unstamped and are simply rehashed on every path_hash call.
 inline void stamp_key(Path& path) { path.key = edge_sequence_hash(path.edges); }
 
+/// The (src, dst) pair as one u64 key: src in the high half, dst low.
+[[nodiscard]] inline std::uint64_t pair_key(NodeId src, NodeId dst) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
+         static_cast<std::uint32_t>(dst);
+}
+
 /// Builds a Path from a node sequence, resolving each consecutive pair to the
 /// lowest-id connecting edge. Requires every consecutive pair to be adjacent.
 [[nodiscard]] Path make_path(const Graph& g,

@@ -37,9 +37,9 @@ class LpRouter final : public Router {
  public:
   /// `max_pairs` caps the number of demand pairs the offline LP models
   /// (0 = unlimited): pairs are ranked by demand and the tail is dropped,
-  /// i.e. treated exactly like the pairs the LP itself zeroes out. This
-  /// keeps the dense simplex tractable on Ripple-scale pair counts; the ISP
-  /// topology's ~1000 pairs fit without truncation.
+  /// i.e. treated exactly like the pairs the LP itself zeroes out. Uncapped,
+  /// the Ripple-scale solve misses the `payments griefing Spider-(LP)` floor
+  /// (ROADMAP item 1); the ISP topology's ~1000 pairs fit without truncation.
   explicit LpRouter(int num_paths = 4, int max_pairs = 0,
                     LpObjective objective = LpObjective::kThroughput);
 

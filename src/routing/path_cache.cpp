@@ -24,67 +24,53 @@ std::string path_selection_name(PathSelection selection) {
 PathCache::PathCache(const Graph& graph, int k, PathSelection selection)
     : graph_(&graph), k_(k), selection_(selection) {
   SPIDER_ASSERT(k >= 1);
-  const auto n = static_cast<std::size_t>(graph.num_nodes());
-  dense_ = graph.num_nodes() <= kDenseNodeLimit;
-  if (dense_) dense_index_.assign(n * n, PairEntry{});
-}
-
-PathCache::PairEntry PathCache::lookup(NodeId src, NodeId dst) const {
-  // Every public entry point funnels through here, so a degenerate trace
-  // with out-of-range node ids hits a clean assert instead of indexing the
-  // dense table out of bounds.
-  SPIDER_ASSERT(src >= 0 && src < graph_->num_nodes());
-  SPIDER_ASSERT(dst >= 0 && dst < graph_->num_nodes());
-  if (dense_) return dense_index_[dense_key(src, dst)];
-  const auto it = sparse_index_.find(sparse_key(src, dst));
-  return it == sparse_index_.end() ? PairEntry{} : it->second;
-}
-
-PathCache::PairEntry& PathCache::slot(NodeId src, NodeId dst) {
-  SPIDER_ASSERT(src >= 0 && src < graph_->num_nodes());
-  SPIDER_ASSERT(dst >= 0 && dst < graph_->num_nodes());
-  if (dense_) return dense_index_[dense_key(src, dst)];
-  return sparse_index_[sparse_key(src, dst)];
 }
 
 std::span<const Path> PathCache::paths(NodeId src, NodeId dst) {
-  if (src == dst) return {};
-  PairEntry entry = lookup(src, dst);
-  if (entry.count < 0) {
-    const std::pair<NodeId, NodeId> pair{src, dst};
-    warm({&pair, 1});
-    entry = lookup(src, dst);
-  }
-  return resolve(entry);
+  if (const auto stored = find(src, dst)) return *stored;
+  const std::pair<NodeId, NodeId> pair{src, dst};
+  warm({&pair, 1});
+  return *find(src, dst);
 }
 
-std::span<const Path> PathCache::cached(NodeId src, NodeId dst) const {
-  if (src == dst) return {};
-  const PairEntry entry = lookup(src, dst);
-  return entry.count < 0 ? std::span<const Path>{} : resolve(entry);
-}
-
-bool PathCache::contains(NodeId src, NodeId dst) const {
-  return src == dst || lookup(src, dst).count >= 0;
+std::optional<std::span<const Path>> PathCache::find(NodeId src,
+                                                     NodeId dst) const {
+  if (src == dst) return std::span<const Path>{};
+  // A degenerate trace's out-of-range ids hit a clean assert.
+  SPIDER_ASSERT(src >= 0 && src < graph_->num_nodes());
+  SPIDER_ASSERT(dst >= 0 && dst < graph_->num_nodes());
+  const std::uint32_t slot = index_.find(
+      pair_key(src, dst), [this](std::uint32_t s) { return records_[s].key; });
+  if (slot == FlatIndex::kAbsent || records_[slot].count < 0)
+    return std::nullopt;
+  return std::span<const Path>{arena_.data() + records_[slot].begin,
+                               static_cast<std::size_t>(records_[slot].count)};
 }
 
 void PathCache::warm(std::span<const std::pair<NodeId, NodeId>> pairs,
                      unsigned threads) {
   // The missing pairs, deduplicated in first-appearance order (the order
-  // they are stored in): a pending mark in the index filters repeats. A
-  // warm that fails (an out-of-range pair, a worker's exception) clears
-  // its marks again, so the store is left as it was.
+  // they are stored in): each gets a pending record, which filters repeats.
+  // A warm that fails (an out-of-range pair, a worker's exception) drops
+  // its records again, so the store is left as it was.
+  const std::size_t old_size = records_.size();
   std::vector<std::pair<NodeId, NodeId>> missing;
   const auto unmark = [&] {
-    for (const auto& [src, dst] : missing) slot(src, dst).count = kMissing;
+    records_.resize(old_size);
+    index_.truncate(old_size);
   };
   try {
     for (const auto& [src, dst] : pairs) {
       if (src == dst) continue;
-      PairEntry& entry = slot(src, dst);
-      if (entry.count != kMissing) continue;
+      SPIDER_ASSERT(src >= 0 && src < graph_->num_nodes());
+      SPIDER_ASSERT(dst >= 0 && dst < graph_->num_nodes());
+      const std::uint64_t key = pair_key(src, dst);
+      if (index_.find_or_insert(key, [this](std::uint32_t s) {
+            return records_[s].key;
+          }) < records_.size())
+        continue;
+      records_.push_back({key, 0, kPending});
       missing.emplace_back(src, dst);
-      entry.count = kPending;
     }
   } catch (...) {
     unmark();
@@ -93,18 +79,16 @@ void PathCache::warm(std::span<const std::pair<NodeId, NodeId>> pairs,
   if (missing.empty()) return;
 
   // Group the pairs (as indices into `missing`) by source.
-  constexpr std::uint32_t kNoGroup = UINT32_MAX;
-  std::vector<std::uint32_t> group_of(
-      static_cast<std::size_t>(graph_->num_nodes()), kNoGroup);
   std::vector<std::vector<std::uint32_t>> groups;
+  FlatIndex group_of;  // source -> groups slot
   for (std::uint32_t i = 0; i < missing.size(); ++i) {
-    std::uint32_t& group =
-        group_of[static_cast<std::size_t>(missing[i].first)];
-    if (group == kNoGroup) {
-      group = static_cast<std::uint32_t>(groups.size());
-      groups.emplace_back();
-    }
-    groups[group].push_back(i);
+    const std::uint32_t g = group_of.find_or_insert(
+        static_cast<std::uint64_t>(missing[i].first),
+        [&](std::uint32_t s) -> std::uint64_t {
+          return missing[groups[s].front()].first;
+        });
+    if (g == groups.size()) groups.emplace_back();
+    groups[g].push_back(i);
   }
 
   // Each worker claims whole source groups; a pair's result depends only
@@ -167,18 +151,18 @@ void PathCache::warm(std::span<const std::pair<NodeId, NodeId>> pairs,
   if (total > arena_.capacity())
     arena_.reserve(std::max(total, 2 * arena_.capacity()));
   for (std::size_t i = 0; i < missing.size(); ++i) {
-    PairEntry& entry = slot(missing[i].first, missing[i].second);
-    entry.begin = static_cast<std::uint32_t>(arena_.size());
-    entry.count = static_cast<std::int32_t>(found[i].size());
+    PairRecord& record = records_[old_size + i];
+    record.begin = static_cast<std::uint32_t>(arena_.size());
+    record.count = static_cast<std::int32_t>(found[i].size());
     arena_.insert(arena_.end(), std::make_move_iterator(found[i].begin()),
                   std::make_move_iterator(found[i].end()));
   }
-  pair_count_ += missing.size();
 }
 
 void CandidatePaths::init(const Graph& graph, int k, PathSelection selection,
                           const PathCache* shared) {
   SPIDER_ASSERT(k >= 1);
+  *this = CandidatePaths{};  // drops the private cache, memo and delta
   graph_ = &graph;
   k_ = k;
   selection_ = selection;
@@ -186,19 +170,14 @@ void CandidatePaths::init(const Graph& graph, int k, PathSelection selection,
              shared->selection() == selection)
                 ? shared
                 : nullptr;
-  own_.reset();
-  generation_ = 0;
-  memo_.clear();
-  sparse_memo_.clear();
-  delta_.clear();
 }
 
 std::span<const Path> CandidatePaths::paths(NodeId src, NodeId dst) {
   SPIDER_ASSERT_MSG(graph_ != nullptr, "init() must run before paths()");
   std::span<const Path> base;
-  if (shared_ != nullptr && shared_->contains(src, dst)) {
-    const std::span<const Path> stored = shared_->cached(src, dst);
-    base = stored.first(std::min(stored.size(), static_cast<std::size_t>(k_)));
+  const auto hit = shared_ != nullptr ? shared_->find(src, dst) : std::nullopt;
+  if (hit) {
+    base = hit->first(std::min(hit->size(), static_cast<std::size_t>(k_)));
   } else {
     if (!own_) own_.emplace(*graph_, k_, selection_);
     base = own_->paths(src, dst);
@@ -207,10 +186,12 @@ std::span<const Path> CandidatePaths::paths(NodeId src, NodeId dst) {
   // valid trail and the lookup is exactly the pre-churn one.
   if (graph_->closed_edge_count() == 0) return base;
   // Close-aware path: consult the per-(pair, generation) verdict memo — a
-  // current tag answers without touching the paths at all. Dense array up
-  // to kDenseNodeLimit nodes, hash-keyed beyond (same trade as the path
-  // store's own index split).
-  std::uint64_t& tag = memo_tag(src, dst);
+  // current tag answers without touching the paths at all.
+  const std::uint64_t key = pair_key(src, dst);
+  const std::uint32_t slot = memo_index_.find_or_insert(
+      key, [this](std::uint32_t s) { return memo_[s].key; });
+  if (slot == memo_.size()) memo_.push_back({key, 0});
+  std::uint64_t& tag = memo_[slot].tag;
   if ((tag >> 32) == generation_ + 1) {
     const auto code = static_cast<std::uint32_t>(tag);
     if (code == 0) return base;
@@ -225,19 +206,6 @@ std::span<const Path> CandidatePaths::paths(NodeId src, NodeId dst) {
           : static_cast<std::uint64_t>(delta_.size());
   tag = ((generation_ + 1) << 32) | code;
   return result;
-}
-
-std::uint64_t& CandidatePaths::memo_tag(NodeId src, NodeId dst) {
-  if (graph_->num_nodes() <= PathCache::kDenseNodeLimit) {
-    const auto n = static_cast<std::size_t>(graph_->num_nodes());
-    if (memo_.empty()) memo_.assign(n * n, 0);
-    return memo_[static_cast<std::size_t>(src) * n +
-                 static_cast<std::size_t>(dst)];
-  }
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
-      static_cast<std::uint32_t>(dst);
-  return sparse_memo_[key];
 }
 
 bool CandidatePaths::all_open(std::span<const Path> paths) const {

@@ -5,10 +5,10 @@
 // only on topology, so they are computed once per (src, dst) and stored.
 //
 // Layout (netsim-style flat tables, not a tree): all computed paths live in
-// one contiguous arena, a pair's paths occupying a contiguous ordinal range;
-// the pair -> range mapping is a dense n*n offset index (O(1) array lookup)
-// up to kDenseNodeLimit nodes — sized for the paper's 3774-node pruned
-// Ripple snapshot — and a hash index beyond that. `paths()` is therefore an
+// one contiguous arena, a pair's paths one contiguous range, found through
+// one {key, begin, count} record per pair (first-seen order) behind a
+// FlatIndex (util/flat_index.hpp): index memory tracks the pairs stored
+// (~32 bytes each) at any graph size. `paths()` is therefore an
 // allocation-free lookup after the first computation, and `warm()`
 // precomputes a whole trace's pairs up front so a fully-warmed store can be
 // shared read-only across ExperimentRunner workers instead of every run
@@ -23,10 +23,10 @@
 // paths' Path::key (graph/graph.hpp) as it finds them, so every stored path
 // carries its path_hash and per-path consumers never rehash its edges.
 //
-// Thread-safety: const lookups (`cached`, `contains`) may run concurrently
-// from any number of threads. `warm` is internally parallel — sources are
-// spread over `threads` workers, each with its own BFS scratch, writing
-// disjoint per-pair result slots that are appended to the arena in
+// Thread-safety: const lookups (`find`, `cached`, `contains`) may run
+// concurrently from any number of threads. `warm` is internally parallel —
+// sources are spread over `threads` workers, each with its own BFS scratch,
+// writing disjoint per-pair result slots that are appended to the arena in
 // first-appearance order afterwards, so every thread count stores the same
 // bytes — but externally serialized: mutations (`paths` on a miss, `warm`)
 // must not overlap each other or const readers. The SpiderNetwork facade
@@ -36,11 +36,11 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "util/flat_index.hpp"
 
 namespace spider {
 
@@ -59,14 +59,20 @@ class PathCache {
   /// before their next lookup, which is the router discipline.
   [[nodiscard]] std::span<const Path> paths(NodeId src, NodeId dst);
 
-  /// Read-only lookup: the stored paths, or an empty span if the pair was
-  /// never computed. Never mutates, so it is safe to share across threads
-  /// once warming is complete.
-  [[nodiscard]] std::span<const Path> cached(NodeId src, NodeId dst) const;
+  /// Read-only lookup: the stored paths (empty for src == dst), or nullopt
+  /// if the pair was never computed. Safe across threads once warmed.
+  [[nodiscard]] std::optional<std::span<const Path>> find(NodeId src,
+                                                          NodeId dst) const;
 
-  /// True if the pair's paths are already stored (src == dst pairs count as
-  /// always stored: their answer is the empty set).
-  [[nodiscard]] bool contains(NodeId src, NodeId dst) const;
+  /// The stored paths, or an empty span if the pair was never computed.
+  [[nodiscard]] std::span<const Path> cached(NodeId src, NodeId dst) const {
+    return find(src, dst).value_or(std::span<const Path>{});
+  }
+
+  /// True if the pair's paths are already stored.
+  [[nodiscard]] bool contains(NodeId src, NodeId dst) const {
+    return find(src, dst).has_value();
+  }
 
   /// Precomputes every listed pair not yet stored, on up to `threads`
   /// worker threads (the calling thread is one of them; 1 spawns none).
@@ -78,47 +84,23 @@ class PathCache {
   [[nodiscard]] int k() const { return k_; }
   [[nodiscard]] PathSelection selection() const { return selection_; }
   /// Number of (src, dst) pairs stored / total paths across them.
-  [[nodiscard]] std::size_t pair_count() const { return pair_count_; }
+  [[nodiscard]] std::size_t pair_count() const { return records_.size(); }
   [[nodiscard]] std::size_t path_count() const { return arena_.size(); }
 
-  /// Largest node count served by the dense n*n offset index; larger graphs
-  /// fall back to a hash index (same API, same results).
-  static constexpr NodeId kDenseNodeLimit = 4096;
-
  private:
-  static constexpr std::int32_t kMissing = -1;  // not yet computed
-  static constexpr std::int32_t kPending = -2;  // queued by a running warm
+  static constexpr std::int32_t kPending = -1;  // queued by a running warm
 
-  struct PairEntry {
-    std::uint32_t begin = 0;
-    std::int32_t count = kMissing;
+  struct PairRecord {
+    std::uint64_t key;  // pair_key(src, dst)
+    std::uint32_t begin;
+    std::int32_t count;
   };
-
-  [[nodiscard]] std::size_t dense_key(NodeId src, NodeId dst) const {
-    return static_cast<std::size_t>(src) *
-               static_cast<std::size_t>(graph_->num_nodes()) +
-           static_cast<std::size_t>(dst);
-  }
-  [[nodiscard]] static std::uint64_t sparse_key(NodeId src, NodeId dst) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src))
-            << 32) |
-           static_cast<std::uint32_t>(dst);
-  }
-  [[nodiscard]] PairEntry lookup(NodeId src, NodeId dst) const;
-  /// The pair's index slot, created (kMissing) if absent.
-  [[nodiscard]] PairEntry& slot(NodeId src, NodeId dst);
-  [[nodiscard]] std::span<const Path> resolve(const PairEntry& entry) const {
-    return {arena_.data() + entry.begin,
-            static_cast<std::size_t>(entry.count)};
-  }
 
   const Graph* graph_;
   int k_;
   PathSelection selection_;
-  std::size_t pair_count_ = 0;
-  bool dense_;
-  std::vector<PairEntry> dense_index_;                    // n*n when dense
-  std::unordered_map<std::uint64_t, PairEntry> sparse_index_;
+  std::vector<PairRecord> records_;  // first-seen order
+  FlatIndex index_;                  // pair key -> records_ slot
   std::vector<Path> arena_;  // contiguous; a pair's paths are one range
 };
 
@@ -140,13 +122,11 @@ class PathCache {
 ///     edge is still served from the warm store, a stale pair (some
 ///     candidate path crosses a closed edge) is recomputed lazily against
 ///     the current graph into a per-generation delta, and either verdict
-///     is memoized per (pair, generation) in a verdict-tag slot — a dense
-///     (src*n + dst) array up to PathCache::kDenseNodeLimit nodes, a
-///     hash-keyed map beyond (the same trade the path store's own index
-///     split makes) — so the steady-state churned lookup is one tag
-///     load/compare over the static lookup (the "within 2x" bar
-///     bench_micro guardrails), and the validation scan runs once per pair
-///     per generation, not per lookup.
+///     is memoized per (pair, generation) in a verdict-tag record behind
+///     a FlatIndex (the store's own index type) — so the steady-state
+///     churned lookup is one memo probe over the static lookup (the
+///     "within 2x" bar bench_micro guardrails), and the validation scan
+///     runs once per pair per generation, not per lookup.
 /// Channel OPENS never invalidate a still-valid stored answer (open-lazy
 /// semantics, DESIGN.md): stored paths remain correct trails; newly opened
 /// shortcuts benefit pairs on their next recompute.
@@ -176,12 +156,10 @@ class CandidatePaths {
   [[nodiscard]] std::span<const Path> paths(NodeId src, NodeId dst);
 
  private:
-  /// The pair's verdict-tag slot (dense array or hash entry; see memo_).
-  [[nodiscard]] std::uint64_t& memo_tag(NodeId src, NodeId dst);
   [[nodiscard]] bool all_open(std::span<const Path> paths) const;
   [[nodiscard]] std::vector<Path> compute_pair(NodeId src, NodeId dst) const;
-  /// Validate-or-recompute slow path for closure-era lookups; fills the
-  /// memo tag when a dense memo is available.
+  /// Validate-or-recompute slow path for closure-era lookups; the caller
+  /// memoizes its verdict.
   [[nodiscard]] std::span<const Path> churned_paths(
       std::span<const Path> base, NodeId src, NodeId dst);
 
@@ -191,14 +169,16 @@ class CandidatePaths {
   const PathCache* shared_ = nullptr;
   std::optional<PathCache> own_;  // built on first shared-store miss
   std::uint64_t generation_ = 0;
-  /// Per-pair verdict tags, allocated on the first closure-era lookup:
-  /// high 32 bits = generation_ + 1 the verdict holds for, low 32 bits =
-  /// 0 for "base span valid" or 1 + index into delta_. A stale tag (other
-  /// generation) falls through to the validate/recompute slow path. Dense
-  /// (src*n + dst) up to PathCache::kDenseNodeLimit nodes, hash-keyed
-  /// beyond — the same split the path store itself makes.
-  std::vector<std::uint64_t> memo_;
-  std::unordered_map<std::uint64_t, std::uint64_t> sparse_memo_;
+  /// Per-pair verdict tags, one record per pair looked up since the first
+  /// closure: high 32 bits = generation_ + 1 the verdict holds for, low 32
+  /// bits = 0 for "base span valid" or 1 + index into delta_. A stale tag
+  /// (other generation) falls through to the validate/recompute slow path.
+  struct MemoRecord {
+    std::uint64_t key;  // pair_key(src, dst)
+    std::uint64_t tag;
+  };
+  std::vector<MemoRecord> memo_;
+  FlatIndex memo_index_;  // pair key -> memo_ slot
   std::vector<std::vector<Path>> delta_;  // recomputed pairs, this gen only;
                                           // keys stamped like the arena's
 };

@@ -7,9 +7,10 @@
 
 namespace spider {
 
-PrimalDualRouter::PrimalDualRouter(PrimalDualRouterConfig config)
-    : config_(config) {
-  SPIDER_ASSERT(config.num_paths >= 1);
+PrimalDualRouter::PrimalDualRouter(int num_paths,
+                                   PrimalDualRouterConfig config)
+    : num_paths_(num_paths), config_(config) {
+  SPIDER_ASSERT(num_paths >= 1);
   SPIDER_ASSERT(config.steps_per_tick >= 1);
   SPIDER_ASSERT(config.warmup_steps >= 0);
   SPIDER_ASSERT(config.bucket_depth > 0);
@@ -19,20 +20,23 @@ void PrimalDualRouter::init(const Network& network,
                             const RouterInitContext& context) {
   SPIDER_ASSERT_MSG(context.demand_hint != nullptr,
                     "primal-dual router needs a demand matrix estimate");
-  pair_index_.clear();
+  pair_index_ = FlatIndex{};
   tokens_.clear();
   last_tick_ = -1;
 
   std::vector<PairPaths> pairs;
+  const auto key_of = [&pairs](std::uint32_t s) {
+    return pair_key(pairs[s].src, pairs[s].dst);
+  };
   for (const DemandEdge& d : context.demand_hint->edges()) {
     PairPaths pp;
     pp.src = d.src;
     pp.dst = d.dst;
     pp.demand = d.rate;
-    pp.paths = edge_disjoint_paths(network.graph(), d.src, d.dst,
-                                   config_.num_paths);
+    pp.paths = edge_disjoint_paths(network.graph(), d.src, d.dst, num_paths_);
     if (pp.paths.empty()) continue;
-    pair_index_[{d.src, d.dst}] = pairs.size();
+    // Demand edges are distinct pairs: each takes the next solver slot.
+    pair_index_.find_or_insert(pair_key(d.src, d.dst), key_of);
     pairs.push_back(std::move(pp));
   }
   solver_ = std::make_unique<PrimalDualSolver>(
@@ -67,10 +71,13 @@ std::vector<ChunkPlan> PrimalDualRouter::plan(const Payment& payment,
                                               Amount amount,
                                               const Network& network, Rng&) {
   SPIDER_ASSERT(solver_ != nullptr);
-  const auto it = pair_index_.find({payment.src, payment.dst});
-  if (it == pair_index_.end()) return {};
-  const std::size_t pi = it->second;
-  const std::vector<Path>& paths = solver_->pairs()[pi].paths;
+  const std::vector<PairPaths>& pairs = solver_->pairs();
+  const std::uint32_t pi = pair_index_.find(
+      pair_key(payment.src, payment.dst), [&pairs](std::uint32_t s) {
+        return pair_key(pairs[s].src, pairs[s].dst);
+      });
+  if (pi == FlatIndex::kAbsent) return {};
+  const std::vector<Path>& paths = pairs[pi].paths;
   virtual_balances_.attach(network);
   std::vector<ChunkPlan> chunks;
   Amount left = amount;

@@ -9,16 +9,15 @@
 // current optimal rates x_p. Non-atomic.
 #pragma once
 
-#include <map>
 #include <memory>
 
 #include "fluid/primal_dual.hpp"
 #include "routing/router.hpp"
+#include "util/flat_index.hpp"
 
 namespace spider {
 
 struct PrimalDualRouterConfig {
-  int num_paths = 4;
   /// Solver iterations per queue poll.
   int steps_per_tick = 5;
   /// Solver iterations before the first payment (price warm-up).
@@ -30,7 +29,8 @@ struct PrimalDualRouterConfig {
 
 class PrimalDualRouter final : public Router {
  public:
-  explicit PrimalDualRouter(PrimalDualRouterConfig config = {});
+  explicit PrimalDualRouter(int num_paths = 4,
+                            PrimalDualRouterConfig config = {});
 
   [[nodiscard]] std::string name() const override {
     return "Spider (Primal-Dual)";
@@ -52,9 +52,10 @@ class PrimalDualRouter final : public Router {
   }
 
  private:
+  int num_paths_;
   PrimalDualRouterConfig config_;
   std::unique_ptr<PrimalDualSolver> solver_;
-  std::map<std::pair<NodeId, NodeId>, std::size_t> pair_index_;
+  FlatIndex pair_index_;  // pair key -> solver pair slot
   std::vector<std::vector<double>> tokens_;  // XRP, per pair per path
   VirtualBalances virtual_balances_;  // reattached per plan(); O(1) reset
   TimePoint last_tick_ = -1;

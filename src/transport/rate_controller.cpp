@@ -6,52 +6,17 @@
 
 namespace spider {
 
-namespace {
-
-constexpr std::size_t kMinIndex = 16;
-
-}  // namespace
-
 void PathRateController::reserve(std::size_t paths) {
   states_.reserve(paths);
-  std::size_t capacity = kMinIndex;
-  while (capacity < 2 * paths) capacity *= 2;
-  if (capacity > index_.size()) rehash(capacity);
-}
-
-std::size_t PathRateController::probe(std::uint64_t key) const {
-  const std::size_t mask = index_.size() - 1;
-  // Multiplicative (Fibonacci) hashing: FNV-1a's low bits depend only on
-  // the edge ids' low bits, while the product's middle bits mix them all.
-  std::size_t i =
-      static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> 32) & mask;
-  const std::uint32_t tag = tag_of(key);
-  for (;; i = (i + 1) & mask) {
-    const IndexEntry& entry = index_[i];
-    if (entry.slot == kEmpty) return i;
-    if (entry.tag == tag && states_[entry.slot].key == key) return i;
-  }
-}
-
-void PathRateController::rehash(std::size_t capacity) {
-  index_.assign(capacity, IndexEntry{});
-  for (std::uint32_t s = 0; s < states_.size(); ++s)
-    index_[probe(states_[s].key)] = {tag_of(states_[s].key), s};
+  index_.reserve(paths);
 }
 
 PathRateController::PathState& PathRateController::state(const Path& path,
                                                          TimePoint now) {
   const std::uint64_t key = path_hash(path);
-  if (index_.empty()) rehash(kMinIndex);
-  std::size_t i = probe(key);
-  if (index_[i].slot != kEmpty) return states_[index_[i].slot];
-  // Load factor <= 1/2 keeps probe runs short.
-  if (2 * (states_.size() + 1) > index_.size()) {
-    rehash(2 * index_.size());
-    i = probe(key);
-  }
-  SPIDER_ASSERT(states_.size() < kEmpty);
-  index_[i] = {tag_of(key), static_cast<std::uint32_t>(states_.size())};
+  const std::uint32_t slot = index_.find_or_insert(
+      key, [this](std::uint32_t s) { return states_[s].key; });
+  if (slot < states_.size()) return states_[slot];
   return states_.emplace_back(config_, key, path.length(), now);
 }
 
@@ -124,10 +89,10 @@ std::vector<PathRateController::PathView> PathRateController::snapshot()
 }
 
 Amount PathRateController::window_for(const Path& path) const {
-  if (index_.empty()) return config_.initial_window;
-  const IndexEntry& entry = index_[probe(path_hash(path))];
-  return entry.slot == kEmpty ? config_.initial_window
-                              : states_[entry.slot].window.window();
+  const std::uint32_t slot = index_.find(
+      path_hash(path), [this](std::uint32_t s) { return states_[s].key; });
+  return slot == FlatIndex::kAbsent ? config_.initial_window
+                                    : states_[slot].window.window();
 }
 
 }  // namespace spider

@@ -15,11 +15,11 @@
 // the three per path, keyed by path_hash (graph/graph.hpp).
 //
 // The per-path states are dense: one vector in first-seen order behind a
-// flat open-addressing index (power-of-two slots, linear probing) from key
-// to slot. The key is the path's stamped Path::key — stored candidate
-// paths and the engine's chunk copies carry it — so a lookup on the plan
-// and ack hot paths is one multiply and a short probe, with no edge walk,
-// no node allocation and no rehash once reserve() has sized the table.
+// FlatIndex (util/flat_index.hpp) from key to slot. The key is the path's
+// stamped Path::key — stored candidate paths and the engine's chunk copies
+// carry it — so a lookup on the plan and ack hot paths is one multiply and
+// a short probe, with no edge walk, no node allocation and no regrowth
+// once reserve() has sized the table.
 //
 // Everything here is integer arithmetic over the engine's microsecond clock
 // and milli-XRP amounts — no floating-point state, no randomness — so the
@@ -33,6 +33,7 @@
 #include "graph/graph.hpp"
 #include "transport/router_queue.hpp"
 #include "util/amount.hpp"
+#include "util/flat_index.hpp"
 #include "util/time.hpp"
 
 namespace spider {
@@ -125,7 +126,7 @@ class PathRateController {
 
   /// Sizes the state table for `paths` distinct paths (the router passes
   /// the shared store's path_count()), so a run that sees no more than
-  /// that never reallocates or rehashes. The table still grows past it.
+  /// that never reallocates or regrows it. The table still grows past it.
   void reserve(std::size_t paths);
 
   /// New value the path may carry now: min(window − inflight, pacer credit).
@@ -176,26 +177,11 @@ class PathRateController {
     std::size_t hops = 0;
   };
 
-  /// One index entry: the key's high half (a fingerprint that skips most
-  /// foreign entries without touching states_) and the state's position.
-  struct IndexEntry {
-    std::uint32_t tag = 0;
-    std::uint32_t slot = kEmpty;
-  };
-  static constexpr std::uint32_t kEmpty = UINT32_MAX;
-  [[nodiscard]] static std::uint32_t tag_of(std::uint64_t key) {
-    return static_cast<std::uint32_t>(key >> 32);
-  }
-
   PathState& state(const Path& path, TimePoint now);
-  /// The index entry holding `key`, or the empty entry where it would go.
-  [[nodiscard]] std::size_t probe(std::uint64_t key) const;
-  /// Rebuilds the index with `capacity` (a power of two) entries.
-  void rehash(std::size_t capacity);
 
   TransportConfig config_;
   std::vector<PathState> states_;  // first-seen order
-  std::vector<IndexEntry> index_;  // empty until the first lookup or reserve
+  FlatIndex index_;                // path key -> states_ slot
   Amount total_inflight_ = 0;
 };
 

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdint>
 
+#include "util/flat_index.hpp"
+
 namespace spider {
 
 TrafficGenerator::TrafficGenerator(NodeId num_nodes, TrafficConfig config,
@@ -67,27 +69,14 @@ PaymentGraph estimate_demand_matrix(NodeId num_nodes,
 
   // One hashed probe per payment instead of one ordered-map insert: each
   // pair's rates are summed in trace order (so every sum has the bits the
-  // map gave), keyed by src * n + dst in an open-addressing table of
-  // indices into `sums`; the pairs then enter the graph in key order.
+  // map gave), one record per pair behind a FlatIndex; the pairs then enter
+  // the graph in (src, dst) order.
   struct PairSum {
     std::uint64_t key;
     double rate;
   };
   std::vector<PairSum> sums;
-  int shift = 58;  // the table has 2^(64 - shift) slots
-  std::vector<int> table(std::size_t{1} << (64 - shift), -1);
-  auto slot_of = [&shift](std::uint64_t key) {
-    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift);
-  };
-  auto find_slot = [&](std::uint64_t key) {
-    const std::size_t mask = table.size() - 1;
-    std::size_t slot = slot_of(key);
-    while (table[slot] >= 0 &&
-           sums[static_cast<std::size_t>(table[slot])].key != key)
-      slot = (slot + 1) & mask;
-    return slot;
-  };
-  const auto n = static_cast<std::uint64_t>(num_nodes);
+  FlatIndex index;
   for (const PaymentSpec& spec : trace) {
     // Tolerate degenerate self-pairs (hand-built or external traces): they
     // carry no routable demand. Our TrafficGenerator never emits them.
@@ -95,28 +84,18 @@ PaymentGraph estimate_demand_matrix(NodeId num_nodes,
     SPIDER_ASSERT(spec.src >= 0 && spec.src < num_nodes);
     SPIDER_ASSERT(spec.dst >= 0 && spec.dst < num_nodes);
     SPIDER_ASSERT(spec.amount >= 0);
-    const std::uint64_t key = static_cast<std::uint64_t>(spec.src) * n +
-                              static_cast<std::uint64_t>(spec.dst);
-    std::size_t slot = find_slot(key);
-    if (table[slot] < 0) {
-      if (2 * (sums.size() + 1) > table.size()) {
-        --shift;
-        table.assign(table.size() * 2, -1);
-        for (std::size_t e = 0; e < sums.size(); ++e)
-          table[find_slot(sums[e].key)] = static_cast<int>(e);
-        slot = find_slot(key);
-      }
-      table[slot] = static_cast<int>(sums.size());
-      sums.push_back({key, 0.0});
-    }
-    sums[static_cast<std::size_t>(table[slot])].rate +=
-        to_xrp(spec.amount) / span_seconds;
+    const std::uint64_t key = pair_key(spec.src, spec.dst);
+    const std::uint32_t slot = index.find_or_insert(
+        key, [&sums](std::uint32_t s) { return sums[s].key; });
+    if (slot == sums.size()) sums.push_back({key, 0.0});
+    sums[slot].rate += to_xrp(spec.amount) / span_seconds;
   }
   std::sort(sums.begin(), sums.end(),
             [](const PairSum& a, const PairSum& b) { return a.key < b.key; });
   for (const PairSum& s : sums)
-    pg.add_demand(static_cast<NodeId>(s.key / n),
-                  static_cast<NodeId>(s.key % n), s.rate);
+    pg.add_demand(static_cast<NodeId>(s.key >> 32),
+                  static_cast<NodeId>(static_cast<std::uint32_t>(s.key)),
+                  s.rate);
   return pg;
 }
 

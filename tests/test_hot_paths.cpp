@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <fstream>
 #include <queue>
 #include <span>
 #include <string>
@@ -304,11 +305,10 @@ TEST(FlatPathStore, PrefixOfLargerKMatchesSmallerKComputation) {
   }
 }
 
-TEST(FlatPathStore, SparseIndexBeyondDenseLimitMatchesDense) {
-  // A graph the dense n*n index would not be built for must behave
-  // identically through the hash fallback. Build a small graph and a large
-  // sparse one sharing node ids 0..5.
-  Graph big(PathCache::kDenseNodeLimit + 8);
+TEST(FlatPathStore, LargeGraphMatchesDirectComputation) {
+  // Past 4096 nodes an n*n pair table would exceed 128 MB; the store's
+  // answers there must still equal a direct computation.
+  Graph big(4096 + 8);
   for (NodeId n = 1; n < big.num_nodes(); ++n)
     big.add_edge(n - 1, n, xrp(10));
   PathCache store(big, 2, PathSelection::kEdgeDisjoint);
@@ -319,6 +319,53 @@ TEST(FlatPathStore, SparseIndexBeyondDenseLimitMatchesDense) {
     EXPECT_EQ(stored[i], direct[i]);
   EXPECT_TRUE(store.contains(0, 5));
   EXPECT_FALSE(store.contains(5, 0));
+}
+
+/// Resident set size in KiB, or -1 where /proc/self/status is unavailable.
+long resident_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
+  return -1;
+}
+
+TEST(FlatPathStore, IndexMemoryTracksStoredPairsAtRippleScale) {
+  // At the paper's pruned Ripple snapshot size (3774 nodes) an n*n pair
+  // table costs ~111 MB before any path is stored. The store, a router's
+  // private fallback cache and its churn verdict memo must each cost memory
+  // in proportion to the pairs they hold.
+  Graph graph = ripple_like_topology(3774, xrp(100));
+  Rng rng(5);
+  const auto node = [&] {
+    return static_cast<NodeId>(rng.uniform_int(0, graph.num_nodes() - 1));
+  };
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (int i = 0; i < 2000; ++i) pairs.emplace_back(node(), node());
+  NodeId miss_src = 0;
+  NodeId miss_dst = 1;
+  const long before = resident_kib();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/status on this platform";
+
+  PathCache store(graph, 4, PathSelection::kEdgeDisjoint);
+  store.warm(pairs, 2);
+  while (store.contains(miss_src, miss_dst)) ++miss_dst;
+  CandidatePaths candidates;
+  candidates.init(graph, 4, PathSelection::kEdgeDisjoint, &store);
+  EXPECT_EQ(candidates.paths(miss_src, miss_dst).size(),
+            edge_disjoint_paths(graph, miss_src, miss_dst, 4).size());
+  const auto routed = std::find_if(pairs.begin(), pairs.end(), [&](auto p) {
+    return !store.cached(p.first, p.second).empty();
+  });
+  ASSERT_NE(routed, pairs.end());
+  graph.close_edge(
+      store.cached(routed->first, routed->second).front().edges.front());
+  candidates.sync(1);
+  (void)candidates.paths(routed->first, routed->second);
+  const long grown_kib = resident_kib() - before;
+
+  EXPECT_GT(store.pair_count(), 1900u);
+  EXPECT_LT(grown_kib, 16 * 1024) << "RSS grew " << grown_kib << " KiB";
 }
 
 /// `g` plus two extra nodes: an isolated one (n) and a pendant one (n + 1,
@@ -458,6 +505,13 @@ TEST(FlatPathStore, FailedWarmLeavesStoreUnchanged) {
   store.warm(std::span(pairs).first(2), 2);
   EXPECT_EQ(store.pair_count(), 2u);
   EXPECT_EQ(store.cached(1, 4).size(), 2u);
+  // Refilling in another order after a failure must not meet the failed
+  // warm's index entries.
+  PathCache reordered(graph, 2, PathSelection::kEdgeDisjoint);
+  EXPECT_THROW(reordered.warm(pairs, 2), AssertionError);
+  EXPECT_EQ(reordered.paths(1, 4).size(), 2u);
+  EXPECT_EQ(reordered.paths(0, 3).size(), 2u);
+  EXPECT_EQ(reordered.pair_count(), 2u);
 }
 
 /// Every path in `paths` carries a stamped key equal to the hash of its

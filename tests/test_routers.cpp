@@ -543,7 +543,7 @@ TEST(PrimalDualRouterTest, WarmupThenRoutesCirculation) {
   config.solver.alpha = 0.05;
   config.solver.kappa = 0.05;
   config.warmup_steps = 3000;
-  PrimalDualRouter router(config);
+  PrimalDualRouter router(4, config);
   router.init(net, context);
   // Two ticks to open the token buckets.
   router.on_tick(net, seconds(0.0));
@@ -564,7 +564,7 @@ TEST(PrimalDualRouterTest, TokensGateSending) {
   context.demand_hint = &demands;
   PrimalDualRouterConfig config;
   config.warmup_steps = 2000;
-  PrimalDualRouter router(config);
+  PrimalDualRouter router(4, config);
   router.init(net, context);
   Rng rng(1);
   // No tick yet: buckets are empty, nothing can be sent.
