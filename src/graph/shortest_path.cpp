@@ -1,9 +1,6 @@
 #include "graph/shortest_path.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <queue>
-#include <tuple>
 
 namespace spider {
 
@@ -84,76 +81,6 @@ Path bfs_path(const Graph& g, NodeId src, NodeId dst, EdgeMask blocked) {
   BfsKernel kernel(g);
   Path p;
   if (kernel.run(src, dst, blocked)) kernel.path_to(dst, p);
-  return p;
-}
-
-std::vector<int> bfs_distances(const Graph& g, NodeId src) {
-  SPIDER_ASSERT(src >= 0 && src < g.num_nodes());
-  std::vector<int> dist(static_cast<std::size_t>(g.num_nodes()), -1);
-  std::queue<NodeId> frontier;
-  dist[static_cast<std::size_t>(src)] = 0;
-  frontier.push(src);
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop();
-    for (const Graph::Adjacency& adj : g.neighbors(u)) {
-      auto& d = dist[static_cast<std::size_t>(adj.peer)];
-      if (d == -1) {
-        d = dist[static_cast<std::size_t>(u)] + 1;
-        frontier.push(adj.peer);
-      }
-    }
-  }
-  return dist;
-}
-
-Path dijkstra_path(const Graph& g, NodeId src, NodeId dst,
-                   const std::vector<double>& edge_weight) {
-  SPIDER_ASSERT(src >= 0 && src < g.num_nodes());
-  SPIDER_ASSERT(dst >= 0 && dst < g.num_nodes());
-  SPIDER_ASSERT(edge_weight.size() ==
-                static_cast<std::size_t>(g.num_edges()));
-  if (src == dst) return Path{{src}, {}};
-
-  const auto n = static_cast<std::size_t>(g.num_nodes());
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> dist(n, kInf);
-  std::vector<int> hops(n, std::numeric_limits<int>::max());
-  std::vector<NodeId> parent(n, kInvalidNode);
-  std::vector<EdgeId> parent_edge(n, kInvalidEdge);
-  std::vector<char> done(n, 0);
-
-  // (distance, hops, node) — lexicographic min-heap for deterministic ties.
-  using Entry = std::tuple<double, int, NodeId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  dist[static_cast<std::size_t>(src)] = 0.0;
-  hops[static_cast<std::size_t>(src)] = 0;
-  heap.emplace(0.0, 0, src);
-
-  while (!heap.empty()) {
-    const auto [d, h, u] = heap.top();
-    heap.pop();
-    if (done[static_cast<std::size_t>(u)]) continue;
-    done[static_cast<std::size_t>(u)] = 1;
-    if (u == dst) break;
-    for (const Graph::Adjacency& adj : g.neighbors(u)) {
-      const double w = edge_weight[static_cast<std::size_t>(adj.edge)];
-      SPIDER_ASSERT_MSG(w >= 0, "dijkstra requires non-negative weights");
-      const double nd = d + w;
-      const int nh = h + 1;
-      const auto v = static_cast<std::size_t>(adj.peer);
-      if (nd < dist[v] || (nd == dist[v] && nh < hops[v])) {
-        dist[v] = nd;
-        hops[v] = nh;
-        parent[v] = u;
-        parent_edge[v] = adj.edge;
-        heap.emplace(nd, nh, adj.peer);
-      }
-    }
-  }
-  if (dist[static_cast<std::size_t>(dst)] == kInf) return Path{};
-  Path p;
-  write_path(src, dst, parent, parent_edge, p);
   return p;
 }
 

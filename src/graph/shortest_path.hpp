@@ -1,7 +1,5 @@
-// Unweighted (hop-count) and weighted shortest paths. Hop-count paths are
-// what the evaluated routing schemes use ("K shortest paths", landmark legs,
-// SpeedyMurmurs' underlying trees); Dijkstra supports the price-weighted
-// extension router.
+// Unweighted (hop-count) shortest paths: what the evaluated routing schemes
+// use ("K shortest paths", landmark legs, SpeedyMurmurs' underlying trees).
 #pragma once
 
 #include <cstdint>
@@ -60,14 +58,5 @@ class BfsKernel {
 /// insertion order.
 [[nodiscard]] Path bfs_path(const Graph& g, NodeId src, NodeId dst,
                             EdgeMask blocked = {});
-
-/// BFS hop distances from src; unreachable nodes get -1.
-[[nodiscard]] std::vector<int> bfs_distances(const Graph& g, NodeId src);
-
-/// Dijkstra with non-negative per-edge weights (indexed by EdgeId). Returns
-/// the min-weight path, ties broken toward fewer hops then lower node ids;
-/// empty Path if unreachable.
-[[nodiscard]] Path dijkstra_path(const Graph& g, NodeId src, NodeId dst,
-                                 const std::vector<double>& edge_weight);
 
 }  // namespace spider

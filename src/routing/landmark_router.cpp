@@ -104,7 +104,8 @@ std::vector<ChunkPlan> LandmarkRouter::plan(const Payment& payment,
         std::min(left, virtual_balances_.path_bottleneck(paths[index]));
     if (sendable <= 0) continue;
     virtual_balances_.use(paths[index], sendable);
-    // path_cache_ map storage is stable until the next init().
+    // Valid until the next plan() (router.hpp's ChunkPlan bound): plan()
+    // clears path_cache_ when the topology generation moves.
     chunks.push_back(ChunkPlan{&paths[index], sendable});
     left -= sendable;
   }

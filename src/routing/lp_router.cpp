@@ -77,23 +77,31 @@ void LpRouter::init(const Network& network,
   for (std::size_t v = 0; v < num_nodes; ++v) row_[v + 1] += row_[v];
 }
 
+std::span<const Path> LpRouter::plan_read_paths(NodeId src, NodeId dst,
+                                                const Network&) {
+  // Unknown pair, or a pair the LP zeroed out: absent from the table, so
+  // the read set is empty and the pair is never attempted (§6.2).
+  const auto row = static_cast<std::size_t>(src);
+  if (src < 0 || row + 1 >= row_.size()) return {};
+  const auto row_begin = dst_.begin() + row_[row];
+  const auto row_end = dst_.begin() + row_[row + 1];
+  const auto it = std::lower_bound(row_begin, row_end, dst);
+  if (it == row_end || *it != dst) return {};
+  const PlanSpan span = spans_[static_cast<std::size_t>(it - dst_.begin())];
+  return {paths_.data() + span.first, span.count};
+}
+
 std::vector<ChunkPlan> LpRouter::plan(const Payment& payment, Amount amount,
                                       const Network& network, Rng&) {
-  // Unknown pair, or a pair the LP zeroed out: absent from the table, so
-  // never attempted (§6.2).
-  const auto src = static_cast<std::size_t>(payment.src);
-  if (payment.src < 0 || src + 1 >= row_.size()) return {};
-  const auto row_begin = dst_.begin() + row_[src];
-  const auto row_end = dst_.begin() + row_[src + 1];
-  const auto it = std::lower_bound(row_begin, row_end, payment.dst);
-  if (it == row_end || *it != payment.dst) return {};
-  const PlanSpan span = spans_[static_cast<std::size_t>(it - dst_.begin())];
-  const Path* paths = paths_.data() + span.first;
-  const double* weights = weights_.data() + span.first;
+  const std::span<const Path> pair_paths =
+      plan_read_paths(payment.src, payment.dst, network);
+  if (pair_paths.empty()) return {};
+  const Path* paths = pair_paths.data();
+  const double* weights = weights_.data() + (paths - paths_.data());
 
   // Apportion `amount` by weight (largest-remainder rounding), then cap each
   // share by the current joint bottleneck of its path.
-  const std::size_t n = span.count;
+  const std::size_t n = pair_paths.size();
   share_.assign(n, 0);
   fractions_.clear();
   Amount assigned = 0;

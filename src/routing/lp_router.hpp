@@ -6,13 +6,17 @@
 //
 // Two consequences the paper reports are reproduced deliberately:
 //   - pairs to which the LP assigns zero total rate are never attempted
-//     (their payments expire in the queue), and
+//     (their payments expire in the queue): the router declares
+//     PlanSpeculation::kCandidatePaths, and plan_read_paths() is empty for
+//     such a pair, so the simulator parks its payments until their
+//     deadline instead of calling plan() at every poll, and
 //   - because the balanced LP routes exactly the circulation component of
 //     the demand, success volume pins near the circulation fraction.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -57,6 +61,15 @@ class LpRouter final : public Router {
                                             const Network& network,
                                             Rng& rng) override;
 
+  /// plan() reads only the pair's LP paths, fixed by init().
+  [[nodiscard]] PlanSpeculation plan_speculation() const override {
+    return PlanSpeculation::kCandidatePaths;
+  }
+  /// The pair's paths in the plan table; empty for a pair the LP zeroed
+  /// out or never modelled. plan() starts from this lookup.
+  [[nodiscard]] std::span<const Path> plan_read_paths(
+      NodeId src, NodeId dst, const Network& network) override;
+
   /// Fluid throughput of the solved LP in XRP/s (for reporting).
   [[nodiscard]] double fluid_throughput() const { return fluid_throughput_; }
   /// Max-min objective only: the guaranteed served fraction t*.
@@ -69,8 +82,9 @@ class LpRouter final : public Router {
   // row_[src] .. row_[src + 1] indexes `dst_` (ascending) and the parallel
   // `spans_`, and span s covers paths_[s.first .. s.first + s.count) with
   // their normalized weights at the same positions in `weights_`. A pair
-  // the LP zeroed out, or never modelled, is simply absent. plan() hands
-  // out pointers into paths_; they stay valid until the next init().
+  // the LP zeroed out, or never modelled, is simply absent.
+  // plan_read_paths() returns spans of paths_ and plan() hands out pointers
+  // into it; both stay valid until the next init().
   struct PlanSpan {
     std::uint32_t first = 0;
     std::uint32_t count = 0;

@@ -55,7 +55,15 @@ struct RouterInitContext {
   const PathCache* shared_paths = nullptr;
 };
 
-/// Unused by the engine; kept only for perfbench's tracing decorator.
+/// What a router promises about plan()'s inputs.
+///   kNone — nothing: plan() may read any state, so every payment is
+///     planned at arrival and re-planned at every poll until it resolves.
+///   kCandidatePaths — plan() reads only the candidate paths that
+///     plan_read_paths(src, dst) returns for the pair (plus live balances).
+///     That set changes only at init(). An empty set means plan() returns
+///     nothing for the pair, with no side effect, however often it is
+///     called; the simulator then never calls it for such a payment and
+///     parks the payment until its deadline.
 enum class PlanSpeculation { kNone, kCandidatePaths };
 
 class RouterQueueBank;
@@ -81,10 +89,13 @@ class Router {
   /// the primal–dual extension; no-op otherwise).
   virtual void on_tick(const Network& network, TimePoint now);
 
-  /// Unused by the engine (see PlanSpeculation).
+  /// Read once per run, at Simulator::begin (see PlanSpeculation).
   [[nodiscard]] virtual PlanSpeculation plan_speculation() const {
     return PlanSpeculation::kNone;
   }
+  /// The pair's read set under kCandidatePaths: the paths plan() may use
+  /// for (src, dst), valid until the next plan() or init(). Empty under
+  /// kNone (the default), where the simulator never asks.
   [[nodiscard]] virtual std::span<const Path> plan_read_paths(
       NodeId src, NodeId dst, const Network& network);
 

@@ -85,7 +85,7 @@ void FaultState::begin(NodeId num_nodes, EdgeId num_edges,
   nodes_.assign(static_cast<std::size_t>(num_nodes), NodeFault{});
   drop_prob_.assign(static_cast<std::size_t>(num_edges), 0.0);
   extra_delay_.assign(static_cast<std::size_t>(num_edges), Duration{0});
-  loss_streams_.clear();
+  loss_streams_.assign(static_cast<std::size_t>(num_edges), std::nullopt);
   seed_ = seed;
   down_count_ = 0;
   grief_count_ = 0;
@@ -97,6 +97,7 @@ void FaultState::grow_edges(EdgeId num_edges) {
   if (static_cast<std::size_t>(num_edges) > drop_prob_.size()) {
     drop_prob_.resize(static_cast<std::size_t>(num_edges), 0.0);
     extra_delay_.resize(static_cast<std::size_t>(num_edges), Duration{0});
+    loss_streams_.resize(static_cast<std::size_t>(num_edges));
   }
 }
 
@@ -126,12 +127,13 @@ void FaultState::set_loss(EdgeId edge, double probability) {
   if (slot == 0.0 && probability > 0.0) ++lossy_count_;
   if (slot > 0.0 && probability == 0.0) --lossy_count_;
   slot = probability;
-  if (probability > 0.0 && !loss_streams_.contains(edge)) {
+  std::optional<Rng>& stream = loss_streams_[static_cast<std::size_t>(edge)];
+  if (probability > 0.0 && !stream) {
     // Seed depends on (base seed, edge id) only, never on when or in what
     // order channels became lossy — draws stay reproducible per channel.
     std::uint64_t state =
         seed_ ^ (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(edge) + 1));
-    loss_streams_.emplace(edge, Rng(splitmix64(state)));
+    stream.emplace(splitmix64(state));
   }
 }
 
@@ -145,9 +147,9 @@ void FaultState::set_settle_delay(EdgeId edge, Duration extra) {
 bool FaultState::draw_drop(EdgeId edge) {
   const double p = drop_prob_[static_cast<std::size_t>(edge)];
   SPIDER_ASSERT(p > 0.0);
-  const auto it = loss_streams_.find(edge);
-  SPIDER_ASSERT(it != loss_streams_.end());
-  return it->second.chance(p);
+  std::optional<Rng>& stream = loss_streams_[static_cast<std::size_t>(edge)];
+  SPIDER_ASSERT(stream.has_value());
+  return stream->chance(p);
 }
 
 bool FaultState::path_blocked(const Path& path) const {

@@ -5,7 +5,7 @@
 // receivers — that the Simulator reads as one of its input chains
 // (DESIGN.md "Input chains"): one kFault event is queued at a time, and
 // applying event i queues event i+1 on the shared EventQueue. Zero-fault
-// runs never allocate or draw anything here, so they stay byte-identical to
+// runs never seed or draw anything here, so they stay byte-identical to
 // the pre-fault engine; faulted runs are reproducible because every
 // Bernoulli draw happens in event order, from per-channel streams seeded
 // by (fault seed, edge id) alone.
@@ -19,7 +19,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -136,7 +136,9 @@ class FaultState {
   std::vector<NodeFault> nodes_;
   std::vector<double> drop_prob_;
   std::vector<Duration> extra_delay_;
-  std::unordered_map<EdgeId, Rng> loss_streams_;
+  // Per-edge Bernoulli stream, seeded when the edge first turns lossy and
+  // kept across heals.
+  std::vector<std::optional<Rng>> loss_streams_;
   std::uint64_t seed_ = 0;
   int down_count_ = 0;
   int grief_count_ = 0;

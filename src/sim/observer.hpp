@@ -85,7 +85,8 @@ class SimObserver {
     (void)amount;
     (void)now;
   }
-  /// A pending-queue service round fired with `pending` payments waiting.
+  /// A pending-queue service round fired with `pending` payments waiting,
+  /// parked ones (never planned; see Simulator) included.
   virtual void on_poll_round(std::size_t pending, TimePoint now) {
     (void)pending;
     (void)now;

@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 
 namespace spider {
@@ -86,6 +87,13 @@ void Simulator::begin(const std::vector<PaymentSpec>& trace) {
   payments_base_ = 0;
   retired_ = 0;
   pending_.clear();
+  parked_.clear();
+  // Under a retry cap the sender gives up after counted attempts, so a
+  // payment must be attempted to fail on time; atomic payments fail at
+  // their one attempt.
+  park_unplannable_ =
+      router_->plan_speculation() == PlanSpeculation::kCandidatePaths &&
+      !router_->is_atomic() && config_.retry_limit == 0;
   inflight_.clear();
   free_chunks_.clear();
   metrics_ = SimMetrics{};
@@ -258,6 +266,10 @@ void Simulator::ensure_pending(std::size_t payment_index) {
   if (p.in_pending) return;
   p.in_pending = true;
   pending_.push_back(PendingEntry{payment_index, kNeverOrdered});
+  arm_waiting_chains();
+}
+
+void Simulator::arm_waiting_chains() {
   if (!poll_scheduled_) {
     push_event(now() + config_.poll_interval, EventKind::kPoll, 0);
     poll_scheduled_ = true;
@@ -269,6 +281,29 @@ void Simulator::ensure_pending(std::size_t payment_index) {
     push_event(now() + config_.transport.pace_interval,
                EventKind::kTransportPace, 0);
     pace_scheduled_ = true;
+  }
+}
+
+bool Simulator::unplannable(const PaymentSpec& spec) {
+  return park_unplannable_ &&
+         router_->plan_read_paths(spec.src, spec.dst, *network_).empty();
+}
+
+void Simulator::park(std::size_t payment_index) {
+  Payment& p = payment(payment_index);
+  p.in_pending = true;
+  parked_.emplace_back(p.deadline, payment_index);
+  std::push_heap(parked_.begin(), parked_.end(), std::greater<>{});
+  arm_waiting_chains();
+}
+
+void Simulator::expire_parked() {
+  while (!parked_.empty() && parked_.front().first <= now()) {
+    std::pop_heap(parked_.begin(), parked_.end(), std::greater<>{});
+    const std::size_t index = parked_.back().second;
+    parked_.pop_back();
+    payment(index).in_pending = false;
+    expire(index);
   }
 }
 
@@ -301,6 +336,10 @@ void Simulator::handle_arrival(std::size_t trace_index) {
     metrics_.admission_refused += 1;
     payment(trace_index).refused = true;  // keep it out of the per-cause split
     finish_payment(trace_index, PaymentStatus::kRejected);
+    return;
+  }
+  if (unplannable(spec)) {
+    park(trace_index);
     return;
   }
 
@@ -787,7 +826,7 @@ void Simulator::serve_channel_queue(EdgeId edge, int side) {
 
 void Simulator::handle_transport_pace() {
   pace_scheduled_ = false;
-  if (pending_.empty()) return;  // chain runs dry; ensure_pending re-arms
+  if (!has_waiting()) return;  // chain runs dry; arm_waiting_chains re-arms
   metrics_.pace_rounds += 1;
   // Re-offer pending payments in place, compacting finished ones. Unlike a
   // poll round there is no scheduler reordering and no deadline expiry —
@@ -814,7 +853,7 @@ void Simulator::handle_transport_pace() {
     }
   }
   pending_.resize(write);
-  if (!pending_.empty() && !pace_scheduled_) {
+  if (has_waiting() && !pace_scheduled_) {
     push_event(now() + config_.transport.pace_interval,
                EventKind::kTransportPace, 0);
     pace_scheduled_ = true;
@@ -864,7 +903,7 @@ void Simulator::handle_rebalance() {
     }
   }
   // Keep ticking while there is still work the deposits could help.
-  if (arrivals_.next < arrivals_.end() || !pending_.empty()) {
+  if (arrivals_.next < arrivals_.end() || has_waiting()) {
     push_event(now() + config_.rebalance_interval, EventKind::kRebalance, 0);
     rebalance_scheduled_ = true;
   }
@@ -1035,21 +1074,21 @@ void Simulator::blacklist_path(std::size_t payment_index, const Path& path) {
 }
 
 void Simulator::handle_poll() {
-  if (pending_.empty()) return;
+  if (!has_waiting()) return;
   metrics_.retry_rounds += 1;
   for (SimObserver* observer : observers_)
-    observer->on_poll_round(pending_.size(), now());
+    observer->on_poll_round(pending_.size() + parked_.size(), now());
   if (queue_bank_active()) {
     for (SimObserver* observer : observers_)
       observer->on_queue_depths(transport_queues_, now());
   }
   router_->on_tick(*network_, now());
 
-  // Expire overdue payments first (compacting the survivors in place), then
-  // serve the rest in policy order. Compaction keeps the entries' relative
-  // order, so order_pending only sorts the entries whose key moved since
-  // the last poll (and new ones) and merges them in; steady-state polling
-  // never reallocates.
+  // Expire overdue payments first (compacting the survivors in place, then
+  // popping the parked ones), then serve the rest in policy order.
+  // Compaction keeps the entries' relative order, so order_pending only
+  // sorts the entries whose key moved since the last poll (and new ones)
+  // and merges them in; steady-state polling never reallocates.
   std::size_t write = 0;
   for (const PendingEntry& entry : pending_) {
     Payment& p = payment(entry.index);
@@ -1062,6 +1101,7 @@ void Simulator::handle_poll() {
     pending_[write++] = entry;
   }
   pending_.resize(write);
+  expire_parked();
   order_pending(config_.scheduler, payments_, pending_, order_scratch_,
                 payments_base_);
 
@@ -1093,7 +1133,7 @@ void Simulator::handle_poll() {
   }
   pending_.resize(write);
 
-  if (!pending_.empty() && !poll_scheduled_) {
+  if (has_waiting() && !poll_scheduled_) {
     push_event(now() + config_.poll_interval, EventKind::kPoll, 0);
     poll_scheduled_ = true;
   }

@@ -6,7 +6,9 @@
 //     settle downstream on completion;
 //   - non-atomic payments park their unrouted remainder in a global pending
 //     queue that is polled periodically and served in scheduler order
-//     (default SRPT);
+//     (default SRPT); a payment whose pair the router can never plan
+//     (an empty PlanSpeculation::kCandidatePaths read set) waits out its
+//     deadline beside that queue instead, and is never planned;
 //   - atomic payments (max-flow, SilentWhispers, SpeedyMurmurs) either lock
 //     their full amount at arrival or fail outright;
 //   - payments whose deadline passes are cancelled; whatever they already
@@ -21,6 +23,7 @@
 #include <array>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "routing/router.hpp"
@@ -447,6 +450,24 @@ class Simulator {
   /// Funds appeared on (edge, side): admit queued chunks in FIFO order.
   void serve_channel_queue(EdgeId edge, int side);
   void ensure_pending(std::size_t payment_index);
+  /// Schedules the poll (and, with pacing on, the pace tick) unless one is
+  /// already queued: anything waiting keeps both chains alive.
+  void arm_waiting_chains();
+  /// Payments a poll, pace tick or rebalance tick still has to wait for:
+  /// pending or parked. The one test every service chain re-arms on.
+  [[nodiscard]] bool has_waiting() const {
+    return !pending_.empty() || !parked_.empty();
+  }
+  /// The arrival-time test for parking: the router promises its read set
+  /// (PlanSpeculation::kCandidatePaths), the payment can only retry, never
+  /// give up on a count (non-atomic, retry_limit 0), and the pair's read
+  /// set is empty.
+  [[nodiscard]] bool unplannable(const PaymentSpec& spec);
+  /// Parks a payment that no plan() can serve until a poll at or past its
+  /// deadline expires it — the same poll that would have expired it from
+  /// the pending queue, after that poll's pending expiries.
+  void park(std::size_t payment_index);
+  void expire_parked();
 
   Network* network_;
   Router* router_;
@@ -486,6 +507,11 @@ class Simulator {
   // Membership is Payment::in_pending.
   std::vector<PendingEntry> pending_;
   std::vector<PendingEntry> order_scratch_;
+  // Parked payments (see park()): a min-heap on (deadline, id), each with
+  // Payment::in_pending set so retirement waits for its expiry.
+  // park_unplannable_ caches the run-wide half of unplannable().
+  std::vector<std::pair<TimePoint, std::size_t>> parked_;
+  bool park_unplannable_ = false;
   std::vector<InflightChunk> inflight_;
   std::vector<std::size_t> free_chunks_;
   std::uint64_t next_stamp_ = 1;

@@ -172,46 +172,6 @@ TEST(BfsPath, FilterExcludesEdges) {
   EXPECT_EQ(p.nodes[1], 2);
 }
 
-TEST(BfsDistances, MatchesHopCounts) {
-  const Graph line = line_topology(5, 1);
-  const auto dist = bfs_distances(line, 0);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(dist[static_cast<std::size_t>(i)], i);
-}
-
-TEST(BfsDistances, UnreachableIsMinusOne) {
-  Graph g(3);
-  g.add_edge(0, 1, 1);
-  EXPECT_EQ(bfs_distances(g, 0)[2], -1);
-}
-
-TEST(Dijkstra, PrefersCheaperLongerRoute) {
-  const Graph g = diamond();
-  // Make the 0-1 edge expensive; cheapest 0->3 becomes 0-2-3.
-  std::vector<double> w(static_cast<std::size_t>(g.num_edges()), 1.0);
-  w[0] = 10.0;
-  const Path p = dijkstra_path(g, 0, 3, w);
-  ASSERT_EQ(p.length(), 2u);
-  EXPECT_EQ(p.nodes[1], 2);
-}
-
-TEST(Dijkstra, AgreesWithBfsOnUnitWeights) {
-  const Graph g = isp_topology(xrp(100));
-  const std::vector<double> w(static_cast<std::size_t>(g.num_edges()), 1.0);
-  for (NodeId s = 0; s < 8; ++s)
-    for (NodeId t = 24; t < 32; ++t) {
-      if (s == t) continue;
-      EXPECT_EQ(dijkstra_path(g, s, t, w).length(),
-                bfs_path(g, s, t).length());
-    }
-}
-
-TEST(Dijkstra, UnreachableReturnsEmpty) {
-  Graph g(3);
-  g.add_edge(0, 1, 1);
-  const std::vector<double> w{1.0};
-  EXPECT_TRUE(dijkstra_path(g, 0, 2, w).empty());
-}
-
 TEST(SpanningTree, CoversConnectedGraph) {
   const Graph g = isp_topology(xrp(100));
   const SpanningTree tree = bfs_spanning_tree(g, 0);
@@ -227,10 +187,9 @@ TEST(SpanningTree, CoversConnectedGraph) {
 TEST(SpanningTree, DepthsAreBfsDistances) {
   const Graph g = isp_topology(xrp(100));
   const SpanningTree tree = bfs_spanning_tree(g, 3);
-  const auto dist = bfs_distances(g, 3);
   for (NodeId n = 0; n < g.num_nodes(); ++n)
     EXPECT_EQ(tree.depth[static_cast<std::size_t>(n)],
-              dist[static_cast<std::size_t>(n)]);
+              static_cast<int>(bfs_path(g, 3, n).length()));
 }
 
 TEST(SpanningTree, TreeDistanceAndPathConsistent) {

@@ -2,6 +2,12 @@
 // where the right answer is known.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "core/scenario.hpp"
+#include "core/spider.hpp"
 #include "routing/landmark_router.hpp"
 #include "routing/lp_router.hpp"
 #include "routing/maxflow_router.hpp"
@@ -11,7 +17,9 @@
 #include "routing/speedy_router.hpp"
 #include "routing/waterfilling_router.hpp"
 #include "sim/simulator.hpp"
+#include "test_support.hpp"
 #include "topology/topology.hpp"
+#include "workload/churn.hpp"
 
 namespace spider {
 namespace {
@@ -378,6 +386,377 @@ TEST(LpRouterTest, ZeroWeightPairsCountsAbsentPairs) {
   context.demand_hint = &circulation;
   router.init(net, context);
   EXPECT_EQ(router.zero_weight_pairs(), 0);
+}
+
+TEST(LpRouterTest, ReadSetIsThePairsPlanTableSpan) {
+  const Graph g = line_topology(3, xrp(10));
+  Network net(g);
+  PaymentGraph demands(3);
+  demands.add_demand(0, 1, 1.0);
+  demands.add_demand(1, 0, 1.0);
+  demands.add_demand(1, 2, 1.0);  // one-way: zeroed
+  RouterInitContext context;
+  context.demand_hint = &demands;
+  LpRouter router(4);
+  router.init(net, context);
+  EXPECT_EQ(router.plan_speculation(), PlanSpeculation::kCandidatePaths);
+  const std::span<const Path> read = router.plan_read_paths(0, 1, net);
+  ASSERT_FALSE(read.empty());
+  Rng rng(1);
+  const auto plan = router.plan(make_payment(0, 1, xrp(2)), xrp(2), net, rng);
+  ASSERT_FALSE(plan.empty());
+  for (const ChunkPlan& chunk : plan) {
+    EXPECT_GE(chunk.path, read.data());
+    EXPECT_LT(chunk.path, read.data() + read.size());
+  }
+  EXPECT_TRUE(router.plan_read_paths(1, 2, net).empty());  // zeroed
+  EXPECT_TRUE(router.plan_read_paths(0, 2, net).empty());  // never modelled
+  EXPECT_TRUE(router.plan_read_paths(2, 0, net).empty());  // last row
+  EXPECT_TRUE(router.plan_read_paths(kInvalidNode, 0, net).empty());
+}
+
+// ---- Parking the pairs Spider (LP) never routes ----
+//
+// With PlanSpeculation::kCandidatePaths the simulator parks a payment whose
+// pair has an empty read set until its deadline instead of re-planning it
+// at every poll. The reference is the same router behind a wrapper that
+// hides the promise (kNone), so every payment is planned as before.
+
+/// Forwards every Router call to `inner`. With `promise` false it hides the
+/// inner router's PlanSpeculation. Counts plan() calls, and those for a
+/// pair whose inner read set is empty.
+class ForwardingRouter final : public Router {
+ public:
+  ForwardingRouter(std::unique_ptr<Router> inner, bool promise)
+      : inner_(std::move(inner)), promise_(promise) {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] bool is_atomic() const override { return inner_->is_atomic(); }
+  void init(const Network& network, const RouterInitContext& context) override {
+    inner_->init(network, context);
+  }
+  [[nodiscard]] std::vector<ChunkPlan> plan(const Payment& payment,
+                                            Amount amount,
+                                            const Network& network,
+                                            Rng& rng) override {
+    ++plans;
+    if (inner_->plan_read_paths(payment.src, payment.dst, network).empty())
+      ++unplannable_plans;
+    return inner_->plan(payment, amount, network, rng);
+  }
+  void on_tick(const Network& network, TimePoint now) override {
+    inner_->on_tick(network, now);
+  }
+  [[nodiscard]] PlanSpeculation plan_speculation() const override {
+    return promise_ ? inner_->plan_speculation() : PlanSpeculation::kNone;
+  }
+  [[nodiscard]] std::span<const Path> plan_read_paths(
+      NodeId src, NodeId dst, const Network& network) override {
+    return inner_->plan_read_paths(src, dst, network);
+  }
+  void bind_transport(const RouterQueueBank* queues) override {
+    inner_->bind_transport(queues);
+  }
+  void on_transport_clock(TimePoint now) override {
+    inner_->on_transport_clock(now);
+  }
+  void on_transport_send(const Path& path, Amount amount,
+                         TimePoint now) override {
+    inner_->on_transport_send(path, amount, now);
+  }
+  void on_transport_ack(const Path& path, Amount amount, bool marked,
+                        Duration rtt, TimePoint now) override {
+    inner_->on_transport_ack(path, amount, marked, rtt, now);
+  }
+  void on_transport_loss(const Path& path, Amount amount,
+                         TimePoint now) override {
+    inner_->on_transport_loss(path, amount, now);
+  }
+
+  std::int64_t plans = 0;
+  std::int64_t unplannable_plans = 0;
+
+ private:
+  std::unique_ptr<Router> inner_;
+  bool promise_;
+};
+
+class PollRecorder final : public SimObserver {
+ public:
+  void on_poll_round(std::size_t pending, TimePoint now) override {
+    rounds.emplace_back(pending, now);
+  }
+  std::vector<std::pair<std::size_t, TimePoint>> rounds;
+};
+
+struct ParkingMode {
+  const char* name;
+  bool streamed = false;
+  bool router_queue = false;
+  bool churn = false;
+  bool faults = false;
+  bool pace_and_rebalance = false;  // transport pace tick + deposits
+};
+
+struct ParkingRun {
+  SimMetrics metrics;
+  std::vector<std::pair<std::size_t, TimePoint>> polls;
+  std::vector<Payment> retired;
+  std::int64_t plans = 0;
+  std::int64_t unplannable_plans = 0;
+};
+
+/// Entries of `from` up to `horizon`, appended to `into`.
+template <typename T>
+void submit_until(std::vector<T>& into, const std::vector<T>& from,
+                  TimePoint horizon, TimePoint T::*time) {
+  while (into.size() < from.size() && from[into.size()].*time <= horizon)
+    into.push_back(from[into.size()]);
+}
+
+struct ParkingWorkload {
+  ScenarioInstance scenario;
+  std::vector<TopologyChange> churn;
+  std::vector<FaultEvent> faults;
+};
+
+ParkingWorkload parking_workload(const std::string& name) {
+  ScenarioParams params;
+  params.payments = 600;
+  params.traffic_seed = 21;
+  ParkingWorkload w{build_scenario(name, params), {}, {}};
+  const TimePoint span = w.scenario.trace.back().arrival;
+  ChurnConfig churn;
+  churn.events_per_second = 20.0;
+  churn.start = span / 10;
+  churn.stop = span;
+  churn.seed = 5;
+  w.churn = ChurnSchedule(w.scenario.graph, churn).generate();
+  w.faults = w.scenario.faults;
+  if (w.faults.empty()) {
+    w.faults = {FaultEvent::stall(span / 10, 3, span / 4),
+                FaultEvent::crash(span / 8, 7),
+                FaultEvent::loss(span / 6, 5, 0.5),
+                FaultEvent::settle_delay(span / 5, 10, milliseconds(50)),
+                FaultEvent::grief(span / 4, 2, milliseconds(300)),
+                FaultEvent::recover(span / 2, 7),
+                FaultEvent::loss(3 * span / 4, 5, 0.0)};
+  }
+  return w;
+}
+
+SimConfig parking_config(const ParkingWorkload& w, const ParkingMode& mode) {
+  SimConfig sim = w.scenario.config.sim;
+  sim.seed = 7;
+  if (mode.router_queue) sim.queueing = QueueingMode::kRouterQueue;
+  if (mode.pace_and_rebalance) {
+    sim.transport.enabled = true;
+    sim.rebalance_interval = milliseconds(250);
+    sim.rebalance_rate_xrp_per_s = 200.0;
+  }
+  return sim;
+}
+
+/// The workload's LP, solved once; each run plans on a copy of it.
+LpRouter solved_lp(const ParkingWorkload& w, LpObjective objective) {
+  const SpiderConfig& config = w.scenario.config;
+  LpRouter router(config.num_paths, config.lp_max_pairs, objective);
+  const Network network(w.scenario.graph);
+  init_router_for_run(router, network, config.sim, &w.scenario.trace,
+                      nullptr);
+  return router;
+}
+
+/// `trace` plus a tail of payments on a pair `solved` never plans, arriving
+/// after everything else: at the end of the run only parked payments are
+/// left, and every service chain must keep ticking for them alone.
+std::vector<PaymentSpec> with_parked_tail(std::vector<PaymentSpec> trace,
+                                          const LpRouter& solved,
+                                          const Graph& graph) {
+  LpRouter lp = solved;
+  const Network network(graph);
+  PaymentSpec tail;
+  for (NodeId src = 0; src < graph.num_nodes() && tail.amount == 0; ++src)
+    for (NodeId dst = 0; dst < graph.num_nodes(); ++dst) {
+      if (src == dst || !lp.plan_read_paths(src, dst, network).empty())
+        continue;
+      tail.src = src;
+      tail.dst = dst;
+      tail.amount = xrp(1);
+      break;
+    }
+  EXPECT_GT(tail.amount, 0);
+  tail.deadline = seconds(10.0);
+  for (int i = 0; i < 3; ++i) {
+    tail.arrival = trace.back().arrival + milliseconds(400);
+    trace.push_back(tail);
+  }
+  return trace;
+}
+
+ParkingRun run_parking(const ParkingWorkload& w,
+                       const std::vector<PaymentSpec>& trace,
+                       const SimConfig& sim, const LpRouter& solved,
+                       const ParkingMode& mode, bool promise) {
+  ForwardingRouter router(std::make_unique<LpRouter>(solved), promise);
+  Network network(w.scenario.graph);
+  Simulator simulator(network, router, sim);
+  PollRecorder polls;
+  RetiredPayments retired;
+  simulator.attach(polls);
+  simulator.attach(retired);
+
+  const std::vector<TopologyChange> no_churn;
+  const std::vector<FaultEvent> no_faults;
+  const std::vector<TopologyChange>& churn = mode.churn ? w.churn : no_churn;
+  const std::vector<FaultEvent>& faults = mode.faults ? w.faults : no_faults;
+  std::vector<PaymentSpec> trace_in;
+  std::vector<TopologyChange> churn_in;
+  std::vector<FaultEvent> faults_in;
+  if (!mode.streamed) {
+    simulator.begin(trace);
+    simulator.begin_topology(churn);
+    simulator.begin_faults(faults);
+  } else {
+    simulator.begin(trace_in);
+    simulator.begin_topology(churn_in);
+    simulator.begin_faults(faults_in);
+    const TimePoint span = trace.back().arrival;
+    for (const TimePoint horizon : {span / 4, span / 2, 3 * span / 4, span}) {
+      submit_until(churn_in, churn, horizon, &TopologyChange::at);
+      submit_until(faults_in, faults, horizon, &FaultEvent::at);
+      submit_until(trace_in, trace, horizon, &PaymentSpec::arrival);
+      simulator.topology_extended();
+      simulator.faults_extended();
+      simulator.trace_extended();
+      (void)simulator.advance_until(horizon);
+    }
+    EXPECT_EQ(trace_in.size(), trace.size());
+  }
+  (void)simulator.drain();
+  return ParkingRun{simulator.metrics(), std::move(polls.rounds),
+                    retired.records(), router.plans, router.unplannable_plans};
+}
+
+/// Everything but the two attempt counters is identical; those fall.
+void expect_parked_matches(const ParkingRun& parked,
+                           const ParkingRun& unparked) {
+  EXPECT_LE(parked.metrics.retries, unparked.metrics.retries);
+  EXPECT_LE(parked.metrics.plans_requested, unparked.metrics.plans_requested);
+  SimMetrics lowered = unparked.metrics;
+  lowered.retries = parked.metrics.retries;
+  lowered.plans_requested = parked.metrics.plans_requested;
+  expect_identical_metrics(parked.metrics, lowered);
+  EXPECT_EQ(parked.polls, unparked.polls);
+  ASSERT_EQ(parked.retired.size(), unparked.retired.size());
+  for (std::size_t i = 0; i < parked.retired.size(); ++i) {
+    const Payment& a = parked.retired[i];
+    const Payment& b = unparked.retired[i];
+    EXPECT_EQ(a.id, b.id);
+    EXPECT_EQ(a.status, b.status);
+    EXPECT_EQ(a.delivered, b.delivered);
+    EXPECT_EQ(a.completed_at, b.completed_at);
+    EXPECT_LE(a.attempts, b.attempts);
+  }
+}
+
+const ParkingMode kParkingModes[] = {
+    {"batch"},
+    {"streamed", /*streamed=*/true},
+    {"router-queue", false, /*router_queue=*/true},
+    {"churn", false, false, /*churn=*/true},
+    {"faults", false, false, false, /*faults=*/true},
+    {"streamed router-queue churn faults pace rebalance", true, true, true,
+     true, true},
+};
+
+TEST(LpParking, MatchesUnparkedRunInEveryMode) {
+  for (const char* scenario : {"isp", "griefing"}) {
+    const ParkingWorkload w = parking_workload(scenario);
+    for (const LpObjective objective :
+         {LpObjective::kThroughput, LpObjective::kMaxMinFairness}) {
+      const LpRouter lp = solved_lp(w, objective);
+      const std::vector<PaymentSpec> trace =
+          with_parked_tail(w.scenario.trace, lp, w.scenario.graph);
+      for (const ParkingMode& mode : kParkingModes) {
+        SCOPED_TRACE(std::string(scenario) + " / " +
+                     (objective == LpObjective::kThroughput ? "LP"
+                                                            : "LP max-min") +
+                     " / " + mode.name);
+        const SimConfig sim = parking_config(w, mode);
+        const ParkingRun parked = run_parking(w, trace, sim, lp, mode, true);
+        const ParkingRun unparked =
+            run_parking(w, trace, sim, lp, mode, false);
+        expect_parked_matches(parked, unparked);
+        // Each mode exercises what it names.
+        if (mode.churn) {
+          EXPECT_GT(parked.metrics.topology_changes, 0);
+        }
+        if (mode.faults) {
+          EXPECT_GT(parked.metrics.faults_injected, 0);
+        }
+        if (mode.pace_and_rebalance) {
+          EXPECT_GT(parked.metrics.pace_rounds, 0);
+          EXPECT_GT(parked.metrics.onchain_deposited, 0);
+        }
+        EXPECT_EQ(parked.unplannable_plans, 0);
+        EXPECT_EQ(parked.plans, parked.metrics.plans_requested);
+        if (objective == LpObjective::kThroughput) {
+          // The throughput LP zeroes pairs, so parking has work to do.
+          EXPECT_GT(unparked.unplannable_plans, 0);
+          EXPECT_LT(parked.metrics.plans_requested,
+                    unparked.metrics.plans_requested);
+        }
+      }
+    }
+  }
+}
+
+TEST(LpParking, StreamedSessionMatchesHandDrivenRun) {
+  // SimSession's Spider (LP) parks the same payments as the hand-driven
+  // simulator above.
+  const ParkingWorkload w = parking_workload("isp");
+  const ParkingMode mode{"streamed", /*streamed=*/true};
+  const ParkingRun parked =
+      run_parking(w, w.scenario.trace, parking_config(w, mode),
+                  solved_lp(w, LpObjective::kThroughput), mode, true);
+  const SpiderNetwork net(w.scenario.graph, w.scenario.config);
+  SessionOptions options;
+  options.demand_hint = &w.scenario.trace;
+  SimSession session = net.session(Scheme::kSpiderLp, 7, options);
+  std::vector<PaymentSpec> submitted;
+  const TimePoint span = w.scenario.trace.back().arrival;
+  for (const TimePoint horizon : {span / 4, span / 2, 3 * span / 4, span}) {
+    const std::size_t from = submitted.size();
+    submit_until(submitted, w.scenario.trace, horizon, &PaymentSpec::arrival);
+    session.submit(submitted.data() + from, submitted.size() - from);
+    (void)session.advance_until(horizon);
+  }
+  expect_identical_metrics(session.drain(), parked.metrics);
+}
+
+TEST(LpParking, RetryLimitRunsAreIdentical) {
+  // Under a retry cap the sender gives up after counted attempts, so
+  // nothing is parked and the two runs match field for field.
+  for (const char* scenario : {"isp", "griefing"}) {
+    SCOPED_TRACE(scenario);
+    const ParkingWorkload w = parking_workload(scenario);
+    const LpRouter lp = solved_lp(w, LpObjective::kThroughput);
+    const std::vector<PaymentSpec> trace =
+        with_parked_tail(w.scenario.trace, lp, w.scenario.graph);
+    for (const ParkingMode& mode : kParkingModes) {
+      SCOPED_TRACE(mode.name);
+      SimConfig sim = parking_config(w, mode);
+      sim.retry_limit = 2;
+      const ParkingRun capped = run_parking(w, trace, sim, lp, mode, true);
+      const ParkingRun reference =
+          run_parking(w, trace, sim, lp, mode, false);
+      expect_identical_metrics(capped.metrics, reference.metrics);
+      EXPECT_EQ(capped.polls, reference.polls);
+      EXPECT_EQ(capped.plans, reference.plans);
+      EXPECT_GT(capped.unplannable_plans, 0);
+    }
+  }
 }
 
 // ---- Max-flow ----
