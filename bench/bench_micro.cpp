@@ -190,6 +190,22 @@ void BM_SimulatorWaterfilling1k(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorWaterfilling1k)->Unit(benchmark::kMillisecond);
 
+/// A whole Spider (LP) batch run on ISP at the repository benchmark's
+/// isp-lp shape (LP capped at 300 pairs), 20k payments: the LP solve, then
+/// an event loop in which most payments park on pairs the LP never routes.
+void BM_SimulatorLpIsp300(benchmark::State& state) {
+  ScenarioParams params;
+  params.payments = 20000;
+  ScenarioInstance scenario = build_scenario("isp", params);
+  scenario.config.lp_max_pairs = 300;
+  const SpiderNetwork net(scenario.graph, scenario.config);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(net.run(Scheme::kSpiderLp, scenario.trace));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(scenario.trace.size()));
+}
+BENCHMARK(BM_SimulatorLpIsp300)->Unit(benchmark::kMillisecond);
+
 void BM_SimulatorMaxFlow1k(benchmark::State& state) {
   const ScenarioInstance scenario = simulator_fixture();
   const SpiderNetwork net(scenario.graph, scenario.config);
@@ -388,8 +404,8 @@ void BM_TransportStateLookup(benchmark::State& state) {
 BENCHMARK(BM_TransportStateLookup)->Arg(0)->Arg(1);
 
 // ---------------------------------------------------------------------------
-// Failed-retry layers: the poll's pending order and an LP plan that finds
-// nothing to route — most of a Spider (LP) run's retries on ISP.
+// Waiting-payment layers: the poll's pending order and the arrival-time
+// read-set check that decides whether Spider (LP) parks a payment.
 // ---------------------------------------------------------------------------
 
 /// One poll's ordering of 2k pending SRPT entries when ~4% of the payments
@@ -422,11 +438,12 @@ void BM_PendingOrderSrpt(benchmark::State& state) {
 }
 BENCHMARK(BM_PendingOrderSrpt);
 
-/// LpRouter::plan for pairs that are not in its table, on the ISP LP capped
-/// at 300 pairs (the repository benchmark's isp-lp): the pairs of a trace
-/// whose plan comes back empty, i.e. pairs the LP zeroed out or never
-/// modelled. Both are absent from the table, so each costs one row search.
-void BM_LpRouterPlanUnroutable(benchmark::State& state) {
+/// LpRouter::plan_read_paths over a trace's pairs, on the ISP LP capped at
+/// 300 pairs (the repository benchmark's isp-lp): the check the simulator
+/// makes once per arrival to park the payments no plan() can serve. Most
+/// of those pairs are absent from the table (the LP zeroed or never
+/// modelled them), so most lookups end in an empty row search.
+void BM_LpRouterPlanReadPaths(benchmark::State& state) {
   ScenarioParams params;
   params.payments = 20000;
   const ScenarioInstance scenario = build_scenario("isp", params);
@@ -434,24 +451,23 @@ void BM_LpRouterPlanUnroutable(benchmark::State& state) {
   LpRouter router(4, 300);
   init_router_for_run(router, network, scenario.config.sim, &scenario.trace,
                       nullptr);
-  Rng rng(1);
-  std::vector<Payment> unroutable;
-  for (const PaymentSpec& spec : scenario.trace) {
-    Payment p;
-    p.src = spec.src;
-    p.dst = spec.dst;
-    p.total = spec.amount;
-    if (router.plan(p, p.total, network, rng).empty()) unroutable.push_back(p);
-  }
+  std::size_t unplannable = 0;
+  for (const PaymentSpec& spec : scenario.trace)
+    if (router.plan_read_paths(spec.src, spec.dst, network).empty())
+      ++unplannable;
   std::size_t i = 0;
   for (auto _ : state) {
-    const Payment& p = unroutable[i++ % unroutable.size()];
-    benchmark::DoNotOptimize(router.plan(p, p.total, network, rng));
+    const PaymentSpec& spec = scenario.trace[i++ % scenario.trace.size()];
+    benchmark::DoNotOptimize(
+        router.plan_read_paths(spec.src, spec.dst, network).size());
   }
+  state.counters["unplannable_share"] =
+      static_cast<double>(unplannable) /
+      static_cast<double>(scenario.trace.size());
   state.counters["zero_weight_pairs"] = router.zero_weight_pairs();
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_LpRouterPlanUnroutable);
+BENCHMARK(BM_LpRouterPlanReadPaths);
 
 // ---------------------------------------------------------------------------
 // Generation-delta guardrail: churn-aware CandidatePaths lookups vs the

@@ -17,6 +17,16 @@ SpiderConfig apply_transport_defaults(SpiderConfig config, Scheme scheme) {
   return config;
 }
 
+/// The trace parsers' value rule for one payment: the engine never
+/// resolves a payment of amount 0 (there is nothing to route), so it is
+/// refused here as a trace file refuses it.
+void check_entry(const PaymentSpec& spec) {
+  SPIDER_ASSERT_MSG(spec.amount > 0,
+                    "non-positive amount_millis " << spec.amount);
+}
+void check_entry(const TopologyChange&) {}
+void check_entry(const FaultEvent&) {}
+
 /// Validate-then-commit for one input stream: the whole span is checked
 /// before anything is appended, so a rejected span leaves the stream
 /// exactly as it was (no half-committed prefix whose events were never
@@ -28,6 +38,7 @@ void submit_stream(Simulator& sim, std::vector<T>& stream, const T* entries,
   if (count == 0) return;
   TimePoint last = stream.empty() ? sim.horizon() : stream.back().*time;
   for (std::size_t i = 0; i < count; ++i) {
+    check_entry(entries[i]);
     // horizon(), not now(): advance_until declares time passed (and rolls
     // metric windows) up to its horizon, so entries before it would land
     // in windows already emitted.

@@ -26,6 +26,10 @@
 // and the heap vector keep their capacity across reset(), so a reused queue
 // schedules and pops without allocating.
 //
+// The Simulator runs a second instance for its parked payments' deadlines
+// (see Simulator::park): one kind, so one lane, with the heap for a
+// deadline that arrives out of order.
+//
 // The payload is deliberately plain (an integer kind tag plus two integer
 // operands) so the queue stays a dumb, reusable engine component: the
 // Simulator — and any future event-driven subsystem — layers its own enum

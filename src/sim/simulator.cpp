@@ -1,7 +1,6 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 
 namespace spider {
@@ -87,7 +86,7 @@ void Simulator::begin(const std::vector<PaymentSpec>& trace) {
   payments_base_ = 0;
   retired_ = 0;
   pending_.clear();
-  parked_.clear();
+  parked_.reset();
   // Under a retry cap the sender gives up after counted attempts, so a
   // payment must be attempted to fail on time; atomic payments fail at
   // their one attempt.
@@ -292,16 +291,13 @@ bool Simulator::unplannable(const PaymentSpec& spec) {
 void Simulator::park(std::size_t payment_index) {
   Payment& p = payment(payment_index);
   p.in_pending = true;
-  parked_.emplace_back(p.deadline, payment_index);
-  std::push_heap(parked_.begin(), parked_.end(), std::greater<>{});
+  parked_.schedule(p.deadline, 0, payment_index);
   arm_waiting_chains();
 }
 
 void Simulator::expire_parked() {
-  while (!parked_.empty() && parked_.front().first <= now()) {
-    std::pop_heap(parked_.begin(), parked_.end(), std::greater<>{});
-    const std::size_t index = parked_.back().second;
-    parked_.pop_back();
+  while (!parked_.empty() && parked_.next_time() <= now()) {
+    const std::size_t index = parked_.pop().index;
     payment(index).in_pending = false;
     expire(index);
   }
@@ -486,7 +482,7 @@ Amount Simulator::attempt(std::size_t payment_index, bool paced) {
     // §6.1: lock whole paths first and commit them together, so an atomic
     // payment that falls short rolls every lock back before anything is
     // scheduled or observed.
-    std::vector<std::size_t> locked_chunks;
+    locked_chunks_.clear();
     for (const ChunkPlan& chunk : plan) {
       Amount amount = std::min(chunk.amount, want - locked_total);
       if (config_.mtu > 0 && !p.atomic) amount = std::min(amount, config_.mtu);
@@ -513,7 +509,7 @@ Amount Simulator::attempt(std::size_t payment_index, bool paced) {
       network_->lock_path(path, amount);
       const std::size_t ci = new_chunk(path, amount, payment_index);
       inflight_[ci].hops_locked = path.length();
-      locked_chunks.push_back(ci);
+      locked_chunks_.push_back(ci);
       locked_total += amount;
       p.inflight += amount;
       p.ever_locked = true;
@@ -522,14 +518,14 @@ Amount Simulator::attempt(std::size_t payment_index, bool paced) {
 
     if (p.atomic && locked_total < want) {
       // Plan covered less than the full amount: atomic failure.
-      for (std::size_t ci : locked_chunks) {
+      for (std::size_t ci : locked_chunks_) {
         network_->refund_path(inflight_[ci].path, inflight_[ci].amount);
         release_chunk_slot(ci);
       }
       p.inflight = 0;
       return 0;
     }
-    for (std::size_t ci : locked_chunks)
+    for (std::size_t ci : locked_chunks_)
       commit_chunk(ci, /*hop_by_hop=*/false);
   }
   if (!paced && !p.atomic && config_.retry_backoff > 0) arm_retry_backoff(p);

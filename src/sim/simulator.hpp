@@ -23,7 +23,6 @@
 #include <array>
 #include <cstdint>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "routing/router.hpp"
@@ -507,13 +506,19 @@ class Simulator {
   // Membership is Payment::in_pending.
   std::vector<PendingEntry> pending_;
   std::vector<PendingEntry> order_scratch_;
-  // Parked payments (see park()): a min-heap on (deadline, id), each with
-  // Payment::in_pending set so retirement waits for its expiry.
-  // park_unplannable_ caches the run-wide half of unplannable().
-  std::vector<std::pair<TimePoint, std::size_t>> parked_;
+  // Parked payments (see park()): a second EventQueue keyed by deadline,
+  // each event's index a payment id with Payment::in_pending set so
+  // retirement waits for its expiry. Payments park in id order, so the
+  // queue's (time, seq) order is (deadline, id); equal relative deadlines
+  // keep every park in one FIFO lane, and only an out-of-order deadline
+  // takes the queue's heap. park_unplannable_ caches the run-wide half of
+  // unplannable().
+  EventQueue parked_;
   bool park_unplannable_ = false;
   std::vector<InflightChunk> inflight_;
   std::vector<std::size_t> free_chunks_;
+  // attempt()'s whole-path locks before their joint commit, reused.
+  std::vector<std::size_t> locked_chunks_;
   std::uint64_t next_stamp_ = 1;
 
   // Router-queue mode: intrusive FIFO heads per (edge, direction-side),

@@ -594,6 +594,16 @@ std::vector<PaymentSpec> with_parked_tail(std::vector<PaymentSpec> trace,
   return trace;
 }
 
+/// `trace` with relative deadlines alternating 1 s and 8 s: consecutive
+/// parked payments then expire out of arrival order, which the parked
+/// queue serves through its heap rather than its FIFO lane.
+std::vector<PaymentSpec> with_alternating_deadlines(
+    std::vector<PaymentSpec> trace) {
+  for (std::size_t i = 0; i < trace.size(); ++i)
+    trace[i].deadline = seconds(i % 2 == 0 ? 1.0 : 8.0);
+  return trace;
+}
+
 ParkingRun run_parking(const ParkingWorkload& w,
                        const std::vector<PaymentSpec>& trace,
                        const SimConfig& sim, const LpRouter& solved,
@@ -676,36 +686,41 @@ TEST(LpParking, MatchesUnparkedRunInEveryMode) {
     for (const LpObjective objective :
          {LpObjective::kThroughput, LpObjective::kMaxMinFairness}) {
       const LpRouter lp = solved_lp(w, objective);
-      const std::vector<PaymentSpec> trace =
-          with_parked_tail(w.scenario.trace, lp, w.scenario.graph);
-      for (const ParkingMode& mode : kParkingModes) {
-        SCOPED_TRACE(std::string(scenario) + " / " +
-                     (objective == LpObjective::kThroughput ? "LP"
-                                                            : "LP max-min") +
-                     " / " + mode.name);
-        const SimConfig sim = parking_config(w, mode);
-        const ParkingRun parked = run_parking(w, trace, sim, lp, mode, true);
-        const ParkingRun unparked =
-            run_parking(w, trace, sim, lp, mode, false);
-        expect_parked_matches(parked, unparked);
-        // Each mode exercises what it names.
-        if (mode.churn) {
-          EXPECT_GT(parked.metrics.topology_changes, 0);
-        }
-        if (mode.faults) {
-          EXPECT_GT(parked.metrics.faults_injected, 0);
-        }
-        if (mode.pace_and_rebalance) {
-          EXPECT_GT(parked.metrics.pace_rounds, 0);
-          EXPECT_GT(parked.metrics.onchain_deposited, 0);
-        }
-        EXPECT_EQ(parked.unplannable_plans, 0);
-        EXPECT_EQ(parked.plans, parked.metrics.plans_requested);
-        if (objective == LpObjective::kThroughput) {
-          // The throughput LP zeroes pairs, so parking has work to do.
-          EXPECT_GT(unparked.unplannable_plans, 0);
-          EXPECT_LT(parked.metrics.plans_requested,
-                    unparked.metrics.plans_requested);
+      for (const bool mixed_deadlines : {false, true}) {
+        const std::vector<PaymentSpec> trace = with_parked_tail(
+            mixed_deadlines ? with_alternating_deadlines(w.scenario.trace)
+                            : w.scenario.trace,
+            lp, w.scenario.graph);
+        for (const ParkingMode& mode : kParkingModes) {
+          SCOPED_TRACE(std::string(scenario) + " / " +
+                       (objective == LpObjective::kThroughput ? "LP"
+                                                              : "LP max-min") +
+                       " / " + mode.name +
+                       (mixed_deadlines ? " / 1 s and 8 s deadlines" : ""));
+          const SimConfig sim = parking_config(w, mode);
+          const ParkingRun parked = run_parking(w, trace, sim, lp, mode, true);
+          const ParkingRun unparked =
+              run_parking(w, trace, sim, lp, mode, false);
+          expect_parked_matches(parked, unparked);
+          // Each mode exercises what it names.
+          if (mode.churn) {
+            EXPECT_GT(parked.metrics.topology_changes, 0);
+          }
+          if (mode.faults) {
+            EXPECT_GT(parked.metrics.faults_injected, 0);
+          }
+          if (mode.pace_and_rebalance) {
+            EXPECT_GT(parked.metrics.pace_rounds, 0);
+            EXPECT_GT(parked.metrics.onchain_deposited, 0);
+          }
+          EXPECT_EQ(parked.unplannable_plans, 0);
+          EXPECT_EQ(parked.plans, parked.metrics.plans_requested);
+          if (objective == LpObjective::kThroughput) {
+            // The throughput LP zeroes pairs, so parking has work to do.
+            EXPECT_GT(unparked.unplannable_plans, 0);
+            EXPECT_LT(parked.metrics.plans_requested,
+                      unparked.metrics.plans_requested);
+          }
         }
       }
     }

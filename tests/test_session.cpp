@@ -264,6 +264,33 @@ TEST(SimSession, RejectsOutOfOrderSubmission) {
   EXPECT_THROW(session.submit(c), AssertionError);
 }
 
+TEST(SimSession, RejectsNonPositiveAmount) {
+  // The trace parsers' rule holds for in-memory payments too: a payment
+  // with nothing to route is one the engine would never resolve.
+  const ScenarioInstance scenario = small_isp();
+  const SpiderNetwork net(scenario.graph, scenario.config);
+  for (const Scheme scheme : {Scheme::kShortestPath, Scheme::kSpiderLp}) {
+    SCOPED_TRACE(scheme_name(scheme));
+    for (const Amount amount : {Amount{0}, Amount{-5}}) {
+      std::vector<PaymentSpec> trace = scenario.trace;
+      trace.push_back(trace.back());
+      trace.back().amount = amount;
+      SimSession session = net.session(scheme);
+      try {
+        session.submit(trace);
+        ADD_FAILURE() << "amount " << amount << " was accepted";
+      } catch (const AssertionError& e) {
+        EXPECT_NE(std::string(e.what()).find("non-positive amount_millis"),
+                  std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(session.submitted(), 0u);  // the whole span is refused
+      // run() is run_streams(...).metrics, a session submit underneath.
+      EXPECT_THROW((void)net.run(scheme, trace), AssertionError);
+    }
+  }
+}
+
 TEST(SimSession, DoubleDrainDoesNotReEmitTheTail) {
   const Graph g = line_topology(2, xrp(100));
   const SpiderNetwork net(g, SpiderConfig{});
