@@ -17,13 +17,7 @@ SpiderConfig apply_transport_defaults(SpiderConfig config, Scheme scheme) {
   return config;
 }
 
-/// The trace parsers' value rule for one payment: the engine never
-/// resolves a payment of amount 0 (there is nothing to route), so it is
-/// refused here as a trace file refuses it.
-void check_entry(const PaymentSpec& spec) {
-  SPIDER_ASSERT_MSG(spec.amount > 0,
-                    "non-positive amount_millis " << spec.amount);
-}
+void check_entry(const PaymentSpec& spec) { check_payment_amount(spec); }
 void check_entry(const TopologyChange&) {}
 void check_entry(const FaultEvent&) {}
 

@@ -32,6 +32,7 @@ BfsKernel::BfsKernel(const Graph& g)
       stamp_(static_cast<std::size_t>(g.num_nodes()), 0),
       parent_(static_cast<std::size_t>(g.num_nodes()), kInvalidNode),
       parent_edge_(static_cast<std::size_t>(g.num_nodes()), kInvalidEdge),
+      near_dst_(static_cast<std::size_t>(g.num_nodes())),
       queue_(static_cast<std::size_t>(g.num_nodes())) {}
 
 bool BfsKernel::run(NodeId src, NodeId dst, EdgeMask blocked,
@@ -44,6 +45,7 @@ bool BfsKernel::run(NodeId src, NodeId dst, EdgeMask blocked,
                                       graph_->num_edges()));
   if (++epoch_ == 0) {  // stamps wrapped: clear them once every 2^32 runs
     std::fill(stamp_.begin(), stamp_.end(), 0);
+    std::fill(near_dst_.begin(), near_dst_.end(), NearDst{});
     epoch_ = 1;
   }
   for (const NodeId n : blocked_nodes)
@@ -51,6 +53,32 @@ bool BfsKernel::run(NodeId src, NodeId dst, EdgeMask blocked,
   src_ = src;
   stamp_[static_cast<std::size_t>(src)] = epoch_;
   if (src == dst) return true;
+  // The first node the search dequeues among dst's open neighbours is the
+  // one that would discover dst, over its first open edge to dst. Queue
+  // order is discovery order, so that node is the first neighbour
+  // discovered (or src), and the search can stop there instead of
+  // scanning on to its dequeue. Both endpoints list a channel's parallel
+  // copies in id order, so dst's first open edge to a neighbour is the
+  // neighbour's first open edge to dst.
+  const auto reach_dst = [&](NodeId via) {
+    const auto d = static_cast<std::size_t>(dst);
+    stamp_[d] = epoch_;
+    parent_[d] = via;
+    parent_edge_[d] = near_dst_[static_cast<std::size_t>(via)].edge;
+    return true;
+  };
+  if (dst != kInvalidNode) {
+    if (stamp_[static_cast<std::size_t>(dst)] == epoch_)
+      return false;  // dst is one of blocked_nodes
+    for (const Graph::Adjacency& adj : graph_->neighbors(dst)) {
+      if (!blocked.empty() && blocked[static_cast<std::size_t>(adj.edge)])
+        continue;
+      NearDst& near = near_dst_[static_cast<std::size_t>(adj.peer)];
+      if (near.epoch != epoch_) near = {epoch_, adj.edge};
+    }
+    if (near_dst_[static_cast<std::size_t>(src)].epoch == epoch_)
+      return reach_dst(src);
+  }
   std::size_t head = 0;
   std::size_t tail = 0;
   queue_[tail++] = src;
@@ -64,7 +92,7 @@ bool BfsKernel::run(NodeId src, NodeId dst, EdgeMask blocked,
       stamp_[v] = epoch_;
       parent_[v] = u;
       parent_edge_[v] = adj.edge;
-      if (adj.peer == dst) return true;
+      if (near_dst_[v].epoch == epoch_) return reach_dst(adj.peer);
       queue_[tail++] = adj.peer;
     }
   }

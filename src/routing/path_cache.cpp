@@ -107,7 +107,8 @@ void PathCache::warm(std::span<const std::pair<NodeId, NodeId>> pairs,
         const std::vector<std::uint32_t>& members = groups[g];
         const NodeId src = missing[members.front()].first;
         // A lone pair needs only the search that stops at its
-        // destination; its parents are the full tree's.
+        // destination; dst's path is the full tree's, and no other node
+        // is read.
         tree.run(src, members.size() == 1 ? missing[members.front()].second
                                           : kInvalidNode);
         for (const std::uint32_t i : members) {

@@ -17,9 +17,12 @@
 // Warm-up: `warm` deduplicates the missing pairs in first-appearance order,
 // groups them by source and reads each pair's first path off one BFS tree
 // per source (BFS discovery order is fixed, so these are exactly the
-// parents a per-pair search would find); the remaining paths come from the
-// shared BFS kernel under a blocked-edge mask. A lazy miss in `paths` is a
-// one-pair warm, so there is one computation path. Each worker stamps its
+// parents a per-pair search would find); a source with one pair runs the
+// targeted search instead, which stops at dst's first discovered
+// neighbour and reaches only part of the tree, so the warm reads nothing
+// off it but dst. The remaining paths come from the shared BFS kernel
+// under a blocked-edge mask. A lazy miss in `paths` is a one-pair warm, so
+// there is one computation path. Each worker stamps its
 // paths' Path::key (graph/graph.hpp) as it finds them, so every stored path
 // carries its path_hash and per-path consumers never rehash its edges.
 //

@@ -79,6 +79,7 @@ SimMetrics Simulator::run(const std::vector<PaymentSpec>& trace) {
 }
 
 void Simulator::begin(const std::vector<PaymentSpec>& trace) {
+  for (const PaymentSpec& spec : trace) check_payment_amount(spec);
   arrivals_.reset(&trace);
   churn_.reset(nullptr);
   fault_events_.reset(nullptr);
@@ -1241,6 +1242,9 @@ SimMetrics run_simulation(const Graph& graph, Router& router,
                           const std::vector<PaymentSpec>& trace,
                           const SimConfig& config,
                           const PathCache* shared_paths) {
+  // begin() refuses the same trace, but only after the router has read
+  // it as its demand hint, where a negative amount asserts otherwise.
+  for (const PaymentSpec& spec : trace) check_payment_amount(spec);
   Network network(graph);
   init_router_for_run(router, network, config, &trace, shared_paths);
   Simulator sim(network, router, config);

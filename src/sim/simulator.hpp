@@ -140,7 +140,10 @@ class Simulator {
   /// armed empty, schedules no events.
   ///
   /// begin() re-arms the simulator over `trace` without processing
-  /// anything and disarms the other two streams.
+  /// anything and disarms the other two streams. It first refuses a trace
+  /// holding a non-positive amount (check_payment_amount), changing
+  /// nothing; payments appended later are checked by their appender
+  /// (SimSession::submit).
   void begin(const std::vector<PaymentSpec>& trace);
   void begin_topology(const std::vector<TopologyChange>& churn);
   void begin_faults(const std::vector<FaultEvent>& faults);

@@ -8,6 +8,11 @@
 
 namespace spider {
 
+void check_payment_amount(const PaymentSpec& spec) {
+  SPIDER_ASSERT_MSG(spec.amount > 0,
+                    "non-positive amount_millis " << spec.amount);
+}
+
 TrafficGenerator::TrafficGenerator(NodeId num_nodes, TrafficConfig config,
                                    const SizeDistribution& sizes)
     : num_nodes_(num_nodes),

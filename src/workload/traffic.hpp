@@ -25,6 +25,12 @@ struct PaymentSpec {
   Duration deadline = 0;  // relative to arrival; 0 = no deadline
 };
 
+/// The trace parsers' value rule for one in-memory payment: the engine
+/// never resolves a payment of amount 0 (there is nothing to route), so
+/// it is refused ("non-positive amount_millis", an AssertionError) as a
+/// trace file refuses it.
+void check_payment_amount(const PaymentSpec& spec);
+
 enum class SenderSkew {
   kUniform,
   /// P(node i) ∝ exp(-i / (n * scale)): a few nodes originate most traffic.

@@ -7,8 +7,10 @@
 #include <queue>
 #include <set>
 
+#include "core/scenario.hpp"
 #include "graph/ksp.hpp"
 #include "graph/shortest_path.hpp"
+#include "routing/path_cache.hpp"
 #include "topology/topology.hpp"
 
 namespace spider {
@@ -357,6 +359,216 @@ TEST(BfsKernel, FullTreeParentsMatchEarlyExitSearches) {
       tree.path_to(dst, from_tree);
       EXPECT_EQ(from_tree, direct) << src << " -> " << dst;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A targeted search stops when it discovers dst's first neighbour. Each
+// case checks the kernel against oracle::bfs_path under the same blocked
+// edges and nodes, and every node the search reached against a full tree.
+// ---------------------------------------------------------------------------
+
+void expect_kernel_matches_oracle(const Graph& g, NodeId src, NodeId dst,
+                                  const std::vector<std::uint8_t>& blocked,
+                                  const std::vector<NodeId>& blocked_nodes) {
+  SCOPED_TRACE(testing::Message() << src << " -> " << dst);
+  std::vector<char> banned(static_cast<std::size_t>(g.num_nodes()), 0);
+  for (const NodeId n : blocked_nodes) banned[static_cast<std::size_t>(n)] = 1;
+  const auto open = [&](EdgeId e) {
+    if (!blocked.empty() && blocked[static_cast<std::size_t>(e)]) return false;
+    const Graph::Edge& ed = g.edge(e);
+    return !banned[static_cast<std::size_t>(ed.a)] &&
+           !banned[static_cast<std::size_t>(ed.b)];
+  };
+  const Path expected = oracle::bfs_path(g, src, dst, open);
+  BfsKernel kernel(g);
+  const bool found = kernel.run(src, dst, blocked, blocked_nodes);
+  ASSERT_EQ(found, !expected.empty());
+  Path got;
+  if (found) {
+    kernel.path_to(dst, got);
+    EXPECT_EQ(got, expected);
+  }
+  BfsKernel tree(g);
+  ASSERT_TRUE(tree.run(src, kInvalidNode, blocked, blocked_nodes));
+  Path from_tree;
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    if (!kernel.reached(n) || banned[static_cast<std::size_t>(n)]) continue;
+    ASSERT_TRUE(tree.reached(n)) << n;
+    kernel.path_to(n, got);
+    tree.path_to(n, from_tree);
+    EXPECT_EQ(got, from_tree) << n;
+  }
+}
+
+TEST(BfsKernel, SourceAdjacentToDestinationOverOpenOrBlockedEdge) {
+  Graph g(4);
+  g.add_edge(0, 1, 1);
+  g.add_edge(1, 3, 1);
+  const EdgeId direct = g.add_edge(0, 3, 1);
+  g.add_edge(0, 2, 1);
+  g.add_edge(2, 3, 1);
+  const EdgeId spare = g.add_edge(3, 0, 1);  // a parallel direct channel
+  std::vector<std::uint8_t> blocked(static_cast<std::size_t>(g.num_edges()), 0);
+  expect_kernel_matches_oracle(g, 0, 3, blocked, {});
+  EXPECT_EQ(bfs_path(g, 0, 3, blocked).edges, std::vector<EdgeId>{direct});
+  blocked[static_cast<std::size_t>(direct)] = 1;
+  expect_kernel_matches_oracle(g, 0, 3, blocked, {});
+  EXPECT_EQ(bfs_path(g, 0, 3, blocked).edges, std::vector<EdgeId>{spare});
+  blocked[static_cast<std::size_t>(spare)] = 1;
+  expect_kernel_matches_oracle(g, 0, 3, blocked, {});
+  EXPECT_EQ(bfs_path(g, 0, 3, blocked).nodes, (std::vector<NodeId>{0, 1, 3}));
+  expect_kernel_matches_oracle(g, 0, 3, blocked, {1});
+  EXPECT_EQ(bfs_path(g, 3, 0, blocked).nodes, (std::vector<NodeId>{3, 1, 0}));
+}
+
+TEST(BfsKernel, ParallelChannelsWhoseFirstCopyIntoDestinationIsBlocked) {
+  Graph g(5);
+  const EdgeId hop = g.add_edge(0, 1, 1);
+  const EdgeId first = g.add_edge(1, 4, 1);
+  g.add_edge(1, 2, 1);  // lies between the copies in 1's adjacency
+  const EdgeId second = g.add_edge(4, 1, 1);
+  const EdgeId third = g.add_edge(1, 4, 1);
+  g.add_edge(0, 3, 1);
+  g.add_edge(3, 4, 1);
+  std::vector<std::uint8_t> blocked(static_cast<std::size_t>(g.num_edges()), 0);
+  for (const EdgeId copy : {first, second}) {
+    blocked[static_cast<std::size_t>(copy)] = 1;
+    expect_kernel_matches_oracle(g, 0, 4, blocked, {});
+  }
+  EXPECT_EQ(bfs_path(g, 0, 4, blocked).edges,
+            (std::vector<EdgeId>{hop, third}));
+  g.close_edge(second);  // a closure keeps the other copies' order
+  blocked[static_cast<std::size_t>(first)] = 0;
+  expect_kernel_matches_oracle(g, 0, 4, blocked, {});
+  EXPECT_EQ(bfs_path(g, 0, 4, blocked).edges,
+            (std::vector<EdgeId>{hop, first}));
+}
+
+TEST(BfsKernel, BlockedNodesThatNeighbourTheDestination) {
+  Graph g(6);
+  for (const NodeId mid : {1, 2, 3}) {
+    g.add_edge(0, mid, 1);
+    g.add_edge(mid, 5, 1);
+  }
+  g.add_edge(0, 4, 1);
+  g.add_edge(4, 3, 1);
+  const std::vector<std::uint8_t> none;
+  expect_kernel_matches_oracle(g, 0, 5, none, {1});
+  expect_kernel_matches_oracle(g, 0, 5, none, {1, 2});
+  expect_kernel_matches_oracle(g, 0, 5, none, {3, 1});
+  expect_kernel_matches_oracle(g, 4, 5, none, {0, 3});  // 3 is 4's only way
+  expect_kernel_matches_oracle(g, 0, 5, none, {5});     // dst itself
+  BfsKernel kernel(g);
+  const std::vector<NodeId> all_but_three{1, 2};
+  ASSERT_TRUE(kernel.run(0, 5, none, all_but_three));
+  Path p;
+  kernel.path_to(5, p);
+  EXPECT_EQ(p.nodes, (std::vector<NodeId>{0, 3, 5}));
+  const std::vector<NodeId> every_neighbour{1, 2, 3};
+  EXPECT_FALSE(kernel.run(0, 5, none, every_neighbour));
+}
+
+TEST(BfsKernel, UnreachableDestination) {
+  Graph g(6);
+  g.add_edge(0, 1, 1);
+  g.add_edge(1, 2, 1);
+  g.add_edge(3, 4, 1);  // 3-4 and the isolated 5 are cut off from 0
+  const EdgeId only = g.add_edge(2, 0, 1);
+  std::vector<std::uint8_t> blocked(static_cast<std::size_t>(g.num_edges()), 0);
+  for (const NodeId dst : {3, 4, 5}) {
+    expect_kernel_matches_oracle(g, 0, dst, blocked, {});
+    EXPECT_TRUE(bfs_path(g, 0, dst).empty());
+  }
+  blocked[1] = 1;  // 1-2
+  blocked[static_cast<std::size_t>(only)] = 1;
+  expect_kernel_matches_oracle(g, 0, 2, blocked, {});
+  EXPECT_TRUE(bfs_path(g, 0, 2, blocked).empty());
+  expect_kernel_matches_oracle(g, 1, 2, {}, {0});
+}
+
+class KernelEarlyExitOracle : public testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(KernelEarlyExitOracle, RandomMasksAndBlockedNodes) {
+  const Graph g = oracle_graph(GetParam());
+  Rng rng(GetParam() * 7919);
+  std::vector<std::uint8_t> blocked(static_cast<std::size_t>(g.num_edges()));
+  std::vector<NodeId> blocked_nodes;
+  for (NodeId src = 0; src < g.num_nodes(); src += 2) {
+    for (NodeId dst = 0; dst < g.num_nodes(); ++dst) {
+      if (src == dst) continue;
+      for (std::uint8_t& b : blocked) b = rng.uniform() < 0.2 ? 1 : 0;
+      blocked_nodes.clear();
+      // Yen bans a prefix of the previous path; bias the bans towards
+      // dst's neighbours, where the early exit decides.
+      for (const Graph::Adjacency& adj : g.neighbors(dst))
+        if (adj.peer != src && rng.uniform() < 0.3)
+          blocked_nodes.push_back(adj.peer);
+      const auto extra =
+          static_cast<NodeId>(rng.uniform_int(0, g.num_nodes() - 1));
+      if (extra != src && extra != dst) blocked_nodes.push_back(extra);
+      expect_kernel_matches_oracle(g, src, dst, blocked, blocked_nodes);
+      expect_kernel_matches_oracle(g, src, dst, blocked, {});
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KernelEarlyExitOracle,
+                         testing::Values(1, 2, 3));
+
+/// FNV-1a over the stored paths of `pairs` (first-named order): each
+/// pair's path count, then every path's nodes and edges.
+std::uint64_t store_digest(
+    const PathCache& store,
+    const std::vector<std::pair<NodeId, NodeId>>& pairs) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](std::int64_t v) {
+    h ^= static_cast<std::uint64_t>(v);
+    h *= 1099511628211ULL;
+  };
+  std::set<std::pair<NodeId, NodeId>> seen;
+  for (const auto& pair : pairs) {
+    if (!seen.insert(pair).second) continue;
+    const auto paths = store.find(pair.first, pair.second);
+    EXPECT_TRUE(paths.has_value());
+    if (!paths) continue;
+    mix(static_cast<std::int64_t>(paths->size()));
+    for (const Path& p : *paths) {
+      mix(static_cast<std::int64_t>(p.nodes.size()));
+      for (const NodeId n : p.nodes) mix(n);
+      for (const EdgeId e : p.edges) mix(e);
+    }
+  }
+  return h;
+}
+
+TEST(WarmGolden, BenchmarkShapedStoreSurvivesRefactors) {
+  // The path warm of the repository benchmark's replay shape (5k payments
+  // on a 250-node ripple-like graph, k = 4); digests recorded before the
+  // targeted search learned to stop at dst's first neighbour.
+  ScenarioParams params;
+  params.payments = 5000;
+  params.nodes = 250;
+  const ScenarioInstance scenario = build_scenario("ripple-like", params);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (const PaymentSpec& spec : scenario.trace)
+    pairs.emplace_back(spec.src, spec.dst);
+  struct Golden {
+    PathSelection selection;
+    std::size_t pairs;
+    std::size_t paths;
+    std::uint64_t digest;
+  };
+  for (const Golden& golden :
+       {Golden{PathSelection::kEdgeDisjoint, 4609, 16253,
+               8509556881077905092ULL},
+        Golden{PathSelection::kYen, 4609, 18436, 13334905562956884873ULL}}) {
+    SCOPED_TRACE(path_selection_name(golden.selection));
+    PathCache store(scenario.graph, 4, golden.selection);
+    store.warm(pairs, 2);
+    EXPECT_EQ(store.pair_count(), golden.pairs);
+    EXPECT_EQ(store.path_count(), golden.paths);
+    EXPECT_EQ(store_digest(store, pairs), golden.digest);
   }
 }
 

@@ -5,6 +5,8 @@
 // injection.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "spider.hpp"
 #include "test_support.hpp"
 
@@ -287,6 +289,42 @@ TEST(SimSession, RejectsNonPositiveAmount) {
       EXPECT_EQ(session.submitted(), 0u);  // the whole span is refused
       // run() is run_streams(...).metrics, a session submit underneath.
       EXPECT_THROW((void)net.run(scheme, trace), AssertionError);
+    }
+  }
+}
+
+TEST(SimSession, DirectEngineRejectsNonPositiveAmount) {
+  // run_simulation and Simulator::run arm the engine through begin()
+  // without a session; the same rule holds there.
+  const ScenarioInstance scenario = small_isp();
+  for (const Scheme scheme : {Scheme::kShortestPath, Scheme::kSpiderLp}) {
+    SCOPED_TRACE(scheme_name(scheme));
+    for (const Amount amount : {Amount{0}, Amount{-5}}) {
+      std::vector<PaymentSpec> trace = scenario.trace;
+      trace.push_back(trace.back());
+      trace.back().amount = amount;
+      const std::unique_ptr<Router> router =
+          make_router(scheme, scenario.config);
+      const auto expect_refused = [&](const std::function<void()>& run) {
+        try {
+          run();
+          ADD_FAILURE() << "amount " << amount << " was accepted";
+        } catch (const AssertionError& e) {
+          EXPECT_NE(std::string(e.what()).find("non-positive amount_millis"),
+                    std::string::npos)
+              << e.what();
+        }
+      };
+      expect_refused([&] {
+        (void)run_simulation(scenario.graph, *router, trace,
+                             scenario.config.sim);
+      });
+      // A router initialised on a valid hint: begin() itself refuses.
+      Network network(scenario.graph);
+      init_router_for_run(*router, network, scenario.config.sim,
+                          &scenario.trace, nullptr);
+      Simulator sim(network, *router, scenario.config.sim);
+      expect_refused([&] { (void)sim.run(trace); });
     }
   }
 }
